@@ -13,8 +13,6 @@ from .benchmarks import load_benchmark
 from .emit import ScheduleDescriptor, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import (
-    CANONICAL_ORDER,
-    CLASS_PRIORITY,
     DivisibilityError,
     IOReport,
     LoopOrder,
@@ -25,7 +23,7 @@ from .io_model import (
     pad_to_tiles,
     select_schedule,
 )
-from .sim import brute_force_best, io_report_from_sim, simulate_schedule
+from .sim import simulate_schedule
 from .tiling import TileShape, arithmetic_intensity_of_tile, derive_square_tile
 
 _CSV_COLUMNS = ["layer_id", "M", "K", "N", "order", "m", "k", "n",
@@ -36,40 +34,33 @@ def _divisible(problem: MMProblem, tile: TileShape) -> bool:
     return not (problem.M % tile.m or problem.K % tile.k or problem.N % tile.n)
 
 
-def _choose(problem: MMProblem, tile: TileShape, args) -> tuple[Schedule, IOReport, dict, str]:
-    """Pick a schedule and its IO under the --pad / --simulate policy.
+def _choose(problem: MMProblem, tile: TileShape, args,
+            order: LoopOrder | None = None) -> tuple[Schedule, IOReport, dict, str]:
+    """Pick a schedule (or take ``order``) and its IO under the --pad / --simulate policy.
 
-    Returns (schedule, io report, per-class totals, note). Non-divisible
-    problems need one of the two flags; the closed forms are exact only
-    under divisibility.
+    Returns (schedule, io report, per-class totals, note). The counts are
+    exact for every problem; a ragged one still needs a flag, choosing
+    between its exact counts (--simulate) and a padded estimate (--pad).
     """
     c_zero = args.c_zero
-    if _divisible(problem, tile):
-        schedule = select_schedule(problem, tile, c_zero=c_zero)
-        per_class = {cls: rep.total_elems
-                     for cls, rep in all_class_io(problem, tile, c_zero=c_zero).items()}
-        return schedule, io_for_class(problem, tile, schedule.inner_class, c_zero=c_zero), \
-            per_class, ""
-    if args.simulate:
-        schedule, sim = brute_force_best(problem, tile, c_zero=c_zero)
-        per_class = {
-            cls: simulate_schedule(problem, Schedule(CANONICAL_ORDER[cls], tile),
-                                   c_zero=c_zero).total_elems
-            for cls in CLASS_PRIORITY
-        }
-        io = io_report_from_sim(sim, schedule.inner_class, problem.element_bytes)
-        return schedule, io, per_class, "exact counts from simulation (ragged tiles)"
-    if args.pad:
-        padded = pad_to_tiles(problem, tile)
-        schedule = select_schedule(padded, tile, c_zero=c_zero)
-        per_class = {cls: rep.total_elems
-                     for cls, rep in all_class_io(padded, tile, c_zero=c_zero).items()}
-        note = f"padded to {padded.M}x{padded.K}x{padded.N} for closed-form IO"
-        return schedule, io_for_class(padded, tile, schedule.inner_class, c_zero=c_zero), \
-            per_class, note
-    raise DivisibilityError(
-        f"tile {tile.key()} does not divide {problem.M}x{problem.K}x{problem.N}; "
-        "pass --pad for padded closed-form IO or --simulate for exact ragged counts")
+    basis, note = problem, ""
+    if not _divisible(problem, tile):
+        if args.simulate:
+            note = "exact ceiling-count IO (ragged edge tiles clamped)"
+        elif args.pad:
+            basis = pad_to_tiles(problem, tile)
+            note = f"padded to {basis.M}x{basis.K}x{basis.N} for closed-form IO"
+        else:
+            raise DivisibilityError(
+                f"tile {tile.key()} does not divide {problem.M}x{problem.K}x{problem.N}; "
+                "pass --pad for padded closed-form IO or --simulate for exact ragged counts")
+    if order is None:
+        schedule = select_schedule(basis, tile, c_zero=c_zero)
+    else:
+        schedule = Schedule(order, tile)
+    reports = all_class_io(basis, tile, c_zero=c_zero)
+    per_class = {cls: rep.total_elems for cls, rep in reports.items()}
+    return schedule, reports[schedule.inner_class], per_class, note
 
 
 def _print_schedule(problem: MMProblem, tile: TileShape, schedule: Schedule,
@@ -227,15 +218,8 @@ def cmd_emit(args) -> int:
     else:
         t = derive_square_tile(hw.reuse_registers)
         tile = TileShape(t, t, t)
-    if args.order:
-        schedule = Schedule(LoopOrder.parse(args.order), tile)
-        basis = problem if _divisible(problem, tile) else pad_to_tiles(problem, tile)
-        io_rep = io_for_class(basis, tile, schedule.inner_class, c_zero=args.c_zero)
-        per_class = {cls: rep.total_elems
-                     for cls, rep in all_class_io(basis, tile, c_zero=args.c_zero).items()}
-        note = ""
-    else:
-        schedule, io_rep, per_class, note = _choose(problem, tile, args)
+    order = LoopOrder.parse(args.order) if args.order else None
+    schedule, io_rep, per_class, note = _choose(problem, tile, args, order)
     element_type = "f32" if args.dtype == "f32" else "i16-q15-scalar"
     source = emit_kernel_source(schedule, element_type)
     if args.out:
@@ -268,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--c-zero", action="store_true", dest="c_zero",
                         help="treat C as initially zero: skip first-touch C loads")
     common.add_argument("--simulate", action="store_true",
-                        help="use exact simulation instead of closed forms (ragged ok)")
+                        help="count ragged problems exactly, edge tiles clamped")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("derive", parents=[common],

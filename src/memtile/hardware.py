@@ -14,6 +14,7 @@ operation on them is pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -119,24 +120,48 @@ def hardware_from_dict(raw: dict) -> HardwareSpec:
         raise ValueError(
             "exactly one of ext_bandwidth_elems_per_s / ext_bandwidth_bytes_per_s is required")
 
-    element_bytes = int(raw["element_bytes"])
+    element_bytes = _integer(raw, "element_bytes")
     if element_bytes <= 0:
         raise ValueError("element_bytes must be strictly positive")
     if "ext_bandwidth_elems_per_s" in raw:
-        bandwidth = float(raw["ext_bandwidth_elems_per_s"])
+        bandwidth = _number(raw, "ext_bandwidth_elems_per_s")
     else:
-        bandwidth = float(raw["ext_bandwidth_bytes_per_s"]) / element_bytes
+        bandwidth = _number(raw, "ext_bandwidth_bytes_per_s") / element_bytes
 
     return HardwareSpec(
         name=str(raw["name"]),
-        reuse_registers=int(raw["reuse_registers"]),
-        local_memory_elems=int(raw["local_memory_elems"]),
+        reuse_registers=_integer(raw, "reuse_registers"),
+        local_memory_elems=_integer(raw, "local_memory_elems"),
         ext_bandwidth_elems_per_s=bandwidth,
-        peak_flops_per_core=float(raw["peak_flops_per_core"]),
-        cores=int(raw["cores"]),
+        peak_flops_per_core=_number(raw, "peak_flops_per_core"),
+        cores=_integer(raw, "cores"),
         element_bytes=element_bytes,
         notes=str(raw.get("notes", "")),
     )
+
+
+def _number(raw: dict, key: str) -> float:
+    """A finite JSON number; bools, strings, NaN and Infinity are rejected."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got {value!r}") from None
+    if not math.isfinite(result):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return result
+
+
+def _integer(raw: dict, key: str) -> int:
+    """A JSON number with an integral value; 36.9 is rejected, not truncated."""
+    value = raw[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if _number(raw, key) != int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_hardware(path: str | Path) -> HardwareSpec:

@@ -1,4 +1,4 @@
-"""Closed-form external-IO accounting and loop-order selection for blocked MM.
+"""Exact external-IO accounting and loop-order selection for blocked MM.
 
 The multiplication C = C + A*B (A is M x K, B is K x N) is partitioned
 into m x k x n computation blocks. Blocks can be visited in six loop
@@ -6,16 +6,18 @@ orders, written outer->middle->inner; the innermost dimension alone
 determines which operand's tile can stay resident across consecutive
 blocks, and with it the total external IO:
 
-    N innermost, A tiles stationary:  MKN*(1/m + 2/k) + MK
-    M innermost, B tiles stationary:  MKN*(2/k + 1/n) + KN
-    K innermost, C tiles stationary:  MKN*(1/m + 1/n) + 2MN
+    N innermost, A tiles stationary:  MK + KN*ceil(M/m) + 2MN*ceil(K/k)
+    M innermost, B tiles stationary:  KN + MK*ceil(N/n) + 2MN*ceil(K/k)
+    K innermost, C tiles stationary:  MK*ceil(N/n) + KN*ceil(M/m) + 2MN
 
-Each total is (number of blocks) * (streamed elements per block) plus the
-one-time cost of the stationary operand. The factor 2 on mn terms counts
-partial C tiles being both read and written; for K-first the 2MN is the
-stationary C loaded once and stored once. The closed forms are exact
-integer counts only when the tile divides the problem evenly; ragged
-problems belong to the simulator (see memtile.sim).
+Clamped edge tiles partition each operand exactly, so a streamed operand
+is fetched once per block along the dimension it does not index, and the
+counts are exact for every problem, ragged or not. The factor 2 on MN
+terms counts partial C tiles being both read and written; for K-first the
+2MN is the stationary C loaded once and stored once. On divisible
+problems the totals reduce to MKN*(1/m + 2/k) + MK and its companions.
+The access-counting simulator (memtile.sim) executes the loop nest and is
+the independent oracle these counts are tested against.
 
 Everything here is pure and exact: totals are integers, and the selection
 condition is evaluated in rational arithmetic.
@@ -31,7 +33,7 @@ from .tiling import TileShape
 
 
 class DivisibilityError(ValueError):
-    """Raised when a closed-form IO count is requested for a non-divisible tiling."""
+    """Raised by the CLI for a ragged problem given without --pad or --simulate."""
 
 
 class InnerClass(Enum):
@@ -147,58 +149,38 @@ class IOReport:
         return self.total_elems * self.element_bytes
 
 
-def _block_count(problem: MMProblem, tile: TileShape) -> int:
-    if problem.M % tile.m or problem.K % tile.k or problem.N % tile.n:
-        raise DivisibilityError(
-            f"closed-form IO requires divisible tiling: {tile.key()} does not divide "
-            f"{problem.M}x{problem.K}x{problem.N} (pad the problem or use the simulator)")
-    return (problem.M // tile.m) * (problem.K // tile.k) * (problem.N // tile.n)
+def _class_traffic(M: int, K: int, N: int, blocks_m, blocks_k, blocks_n,
+                   inner_class: InnerClass) -> tuple:
+    """(streamed, stationary) elements for one class, before any c_zero saving.
 
-
-def io_n_first(problem: MMProblem, tile: TileShape, *, c_zero: bool = False) -> IOReport:
-    """IO with N innermost: A tiles stationary, B and partial-C tiles streamed.
-
-    Per block the streamed traffic is nk (B in) + 2mn (C in and out); the
-    stationary A costs MK once. With c_zero the first touch of each C tile
-    skips its read, removing MN loads.
+    Each operand is fetched once per block along the dimension it does not
+    index, unless it is the stationary one, which is fetched once in all.
     """
-    blocks = _block_count(problem, tile)
-    streaming = blocks * (2 * tile.m * tile.n + tile.n * tile.k)
-    if c_zero:
-        streaming -= problem.M * problem.N
-    return IOReport(streaming, problem.M * problem.K, problem.element_bytes)
-
-
-def io_m_first(problem: MMProblem, tile: TileShape, *, c_zero: bool = False) -> IOReport:
-    """IO with M innermost: B tiles stationary, A and partial-C tiles streamed."""
-    blocks = _block_count(problem, tile)
-    streaming = blocks * (tile.m * tile.k + 2 * tile.m * tile.n)
-    if c_zero:
-        streaming -= problem.M * problem.N
-    return IOReport(streaming, problem.K * problem.N, problem.element_bytes)
-
-
-def io_k_first(problem: MMProblem, tile: TileShape, *, c_zero: bool = False) -> IOReport:
-    """IO with K innermost: C tiles stationary (read once, written once).
-
-    With c_zero the initial MN loads of C are dropped, leaving MN stores.
-    """
-    blocks = _block_count(problem, tile)
-    streaming = blocks * (tile.m * tile.k + tile.k * tile.n)
-    stationary = problem.M * problem.N if c_zero else 2 * problem.M * problem.N
-    return IOReport(streaming, stationary, problem.element_bytes)
-
-
-_IO_BY_CLASS = {
-    InnerClass.N_FIRST: io_n_first,
-    InnerClass.M_FIRST: io_m_first,
-    InnerClass.K_FIRST: io_k_first,
-}
+    if inner_class is InnerClass.K_FIRST:
+        return M * K * blocks_n + K * N * blocks_m, 2 * M * N
+    if inner_class is InnerClass.N_FIRST:
+        return K * N * blocks_m + 2 * M * N * blocks_k, M * K
+    return M * K * blocks_n + 2 * M * N * blocks_k, K * N
 
 
 def io_for_class(problem: MMProblem, tile: TileShape, inner_class: InnerClass,
                  *, c_zero: bool = False) -> IOReport:
-    return _IO_BY_CLASS[inner_class](problem, tile, c_zero=c_zero)
+    """Exact external IO of one class, ragged problems included.
+
+    Block counts are ceilings: clamped edge tiles partition each operand
+    exactly. With c_zero the first touch of each C tile skips its read,
+    removing MN loads (from the stationary C under K-first, from the
+    streamed partial C otherwise).
+    """
+    M, K, N = problem.M, problem.K, problem.N
+    streaming, stationary = _class_traffic(
+        M, K, N, -(-M // tile.m), -(-K // tile.k), -(-N // tile.n), inner_class)
+    if c_zero:
+        if inner_class is InnerClass.K_FIRST:
+            stationary -= M * N
+        else:
+            streaming -= M * N
+    return IOReport(streaming, stationary, problem.element_bytes)
 
 
 def all_class_io(problem: MMProblem, tile: TileShape,
@@ -219,18 +201,13 @@ def select_schedule(problem: MMProblem, tile: TileShape, *, c_zero: bool = False
 
 def formula_total(M: int, K: int, N: int, m: int, k: int, n: int,
                   inner_class: InnerClass) -> Fraction:
-    """Closed-form total evaluated in rational arithmetic at arbitrary dims.
+    """The io_for_class total at rational block counts M/m, K/k, N/n.
 
-    No divisibility requirement; the result is an exact element count only
-    when the tile divides the problem. Used by the selection condition and
-    for comparing class totals without committing to integer block counts.
+    This is the continuous relaxation the selection condition works in; it
+    equals the exact count when the tile divides the problem.
     """
-    mkn = Fraction(M * K * N)
-    if inner_class is InnerClass.N_FIRST:
-        return mkn * (Fraction(1, m) + Fraction(2, k)) + M * K
-    if inner_class is InnerClass.M_FIRST:
-        return mkn * (Fraction(2, k) + Fraction(1, n)) + K * N
-    return mkn * (Fraction(1, m) + Fraction(1, n)) + 2 * M * N
+    return sum(_class_traffic(M, K, N, Fraction(M, m), Fraction(K, k), Fraction(N, n),
+                              inner_class), Fraction(0))
 
 
 def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
@@ -244,7 +221,7 @@ def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
     in exact rationals. When a denominator is not positive the division form
     is degenerate (the corresponding inequality then holds for every K or N),
     so the comparison falls back to the class totals directly; either path is
-    algebraically equivalent to io_m_first <= io_k_first and <= io_n_first.
+    algebraically equivalent to comparing the three formula_total values.
     """
     M, K, N = problem.M, problem.K, problem.N
     m, k, n = tile.m, tile.k, tile.n

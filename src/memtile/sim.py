@@ -16,9 +16,10 @@ store is counted rather than estimated:
 
 Streamed operands physically move at vector granularity inside a block,
 but the per-block element totals are identical at tile granularity, so
-counting happens per tile. Edge blocks are clamped, never rejected. On
-divisible problems the counted totals equal the closed forms in
-memtile.io_model exactly.
+counting happens per tile. Edge blocks are clamped, never rejected. The
+counted totals equal the ceiling-count formulas in memtile.io_model
+exactly, ragged problems included; this module is the independent oracle
+those formulas are tested against, never derived from them.
 
 A row-stationary variant that keeps whole output rows resident is the
 m = 1 special case of the K-first schedule and is not modeled separately.
@@ -254,6 +255,9 @@ def run_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = False,
                      ) -> tuple[Schedule, SimReport]:
     """Simulate all six loop orders and return the cheapest schedule.
+
+    The search-based oracle for select_schedule: it must pick the same
+    schedule as the formulas for every problem, ragged or not.
 
     The two schemes sharing an inner dimension must produce identical
     reports; any divergence would be a modeling bug, so it raises rather

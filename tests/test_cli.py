@@ -1,14 +1,16 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from memtile.cli import main
 from memtile.emit import ScheduleDescriptor
-from memtile.io_model import LoopOrder, MMProblem, Schedule
-from memtile.sim import simulate_schedule
-from memtile.tiling import TileShape
+from memtile.hardware import fixture_hardware
+from memtile.io_model import CANONICAL_ORDER, InnerClass, LoopOrder, MMProblem, Schedule
+from memtile.sim import brute_force_best, io_report_from_sim, simulate_schedule
+from memtile.tiling import TileShape, derive_square_tile
 
 M4 = "cortex-m4-fp32"
 
@@ -70,6 +72,33 @@ class TestDerive:
         assert desc.inner_class == "M-first"
         assert desc.total_io_elems == 6496
 
+    def test_simulate_mode_matches_brute_force_oracle(self, capsys):
+        rng = random.Random(5)
+        for device in ("cortex-m4-fp32", "cortex-m4-q15", "cortex-a72"):
+            hw = fixture_hardware(device)
+            t = derive_square_tile(hw.reuse_registers)
+            tile = TileShape(t, t, t)
+            for _ in range(8):
+                dims = [t * rng.randint(1, 4) - rng.randint(1, t - 1) for _ in range(3)]
+                c_zero = rng.random() < 0.5
+                code, out, _ = run_cli(capsys, "derive", "--hw", device, *map(str, dims),
+                                       "--simulate", "--format", "json",
+                                       *(["--c-zero"] if c_zero else []))
+                assert code == 0
+                desc = ScheduleDescriptor.from_json(out)
+                problem = MMProblem(*dims, hw.element_bytes)
+                schedule, rep = brute_force_best(problem, tile, c_zero=c_zero)
+                split = io_report_from_sim(rep, schedule.inner_class)
+                per_class = {
+                    cls.value: simulate_schedule(problem, Schedule(CANONICAL_ORDER[cls], tile),
+                                                 c_zero=c_zero).total_elems
+                    for cls in InnerClass
+                }
+                assert desc.order == schedule.order.value
+                assert (desc.streaming_elems, desc.stationary_elems) \
+                    == (split.streaming_elems, split.stationary_elems)
+                assert desc.per_class_total_elems == per_class
+
     def test_three_register_device_uses_unit_tile(self, capsys, tiny_hw_file):
         code, out, _ = run_cli(capsys, "derive", "--hw", tiny_hw_file, "7", "7", "7")
         assert code == 0
@@ -92,6 +121,21 @@ class TestDerive:
         code, _, err = run_cli(capsys, "derive", "--hw", "no-such-device", "40", "40", "40")
         assert code == 1
         assert "unknown hardware fixture" in err
+
+    @pytest.mark.parametrize("key, value", [("ext_bandwidth_elems_per_s", float("nan")),
+                                            ("reuse_registers", 36.9),
+                                            ("reuse_registers", "36")])
+    def test_bad_number_in_hw_file(self, capsys, tmp_path, key, value):
+        raw = {"name": "bad", "reuse_registers": 36, "local_memory_elems": 65536,
+               "ext_bandwidth_elems_per_s": 64e6, "peak_flops_per_core": 64e6,
+               "cores": 1, "element_bytes": 4, key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "derive", "--hw", str(bad), "--format", "text",
+                                 "40", "40", "40")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
     def test_malformed_hw_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -241,6 +285,33 @@ class TestEmit:
                                "--order", "K->N->M", "--out", str(kernel))
         assert code == 0
         assert ScheduleDescriptor.from_json(out).order == "K->N->M"
+
+    def test_forced_order_on_ragged_problem_simulate(self, capsys, tmp_path):
+        kernel = tmp_path / "kernel.c"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", "--order", "NKM",
+                                 "--simulate", "--out", str(kernel))
+        assert code == 0
+        desc = ScheduleDescriptor.from_json(out)
+        assert desc.order == "N->K->M"
+        assert desc.total_io_elems == 6496
+        assert "exact ceiling-count IO" in err
+
+    def test_forced_order_on_ragged_problem_pad(self, capsys, tmp_path):
+        kernel = tmp_path / "kernel.c"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", "--order", "NKM",
+                                 "--pad", "--out", str(kernel))
+        assert code == 0
+        assert ScheduleDescriptor.from_json(out).total_io_elems == 7000
+        assert "note: padded to 65x5x35" in err
+
+    def test_forced_order_on_ragged_problem_needs_flag(self, capsys, tmp_path):
+        kernel = tmp_path / "kernel.c"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", "--order", "NKM",
+                                 "--out", str(kernel))
+        assert code == 1
+        assert out == ""
+        assert "does not divide" in err and "--pad" in err and "--simulate" in err
+        assert not kernel.exists()
 
     def test_stdout_source_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40")

@@ -21,7 +21,7 @@ from memtile.io_model import (
     MMProblem,
     Schedule,
     all_class_io,
-    io_k_first,
+    io_for_class,
 )
 from memtile.sim import interpret_kernel, run_functional
 from memtile.tiling import TileShape
@@ -33,7 +33,7 @@ def cube40_descriptor():
     problem = MMProblem(40, 40, 40)
     tile = TileShape(5, 5, 5)
     schedule = Schedule(LoopOrder.MNK, tile)
-    io = io_k_first(problem, tile)
+    io = io_for_class(problem, tile, InnerClass.K_FIRST)
     per_class = {c: r.total_elems for c, r in all_class_io(problem, tile).items()}
     return emit_descriptor(problem, schedule, io, HW, per_class)
 

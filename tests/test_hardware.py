@@ -125,6 +125,36 @@ class TestDescriptorLoading:
         with pytest.raises(ValueError, match="exactly one"):
             hardware_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ext_bandwidth_elems_per_s", float("nan"), "finite"),
+        ("ext_bandwidth_elems_per_s", float("inf"), "finite"),
+        ("peak_flops_per_core", float("-inf"), "finite"),
+        pytest.param("peak_flops_per_core", 10 ** 400, "finite", id="huge-int"),
+        ("reuse_registers", 36.9, "integer"),
+        ("local_memory_elems", 4096.5, "integer"),
+        ("cores", float("nan"), "finite"),
+        ("reuse_registers", "36", "number"),
+        ("peak_flops_per_core", "2e6", "number"),
+        ("element_bytes", True, "number"),
+        ("ext_bandwidth_elems_per_s", False, "number"),
+        ("cores", None, "number"),
+    ])
+    def test_bad_numbers_rejected(self, key, value, message):
+        raw = dict(self.BASE, **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be .*{message}"):
+            hardware_from_dict(raw)
+
+    def test_bad_byte_bandwidth_rejected(self):
+        raw = dict(self.BASE)
+        del raw["ext_bandwidth_elems_per_s"]
+        raw["ext_bandwidth_bytes_per_s"] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            hardware_from_dict(raw)
+
+    def test_integral_float_accepted_for_integer_field(self):
+        hw = hardware_from_dict(dict(self.BASE, reuse_registers=36.0))
+        assert hw.reuse_registers == 36 and isinstance(hw.reuse_registers, int)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text(json.dumps(self.BASE))

@@ -5,16 +5,13 @@ import pytest
 
 from memtile.io_model import (
     CANONICAL_ORDER,
-    DivisibilityError,
     InnerClass,
     LoopOrder,
     MMProblem,
     Schedule,
     all_class_io,
     formula_total,
-    io_k_first,
-    io_m_first,
-    io_n_first,
+    io_for_class,
     m_first_condition,
     pad_to_tiles,
     select_schedule,
@@ -53,42 +50,42 @@ class TestLoopOrder:
 class TestClosedForms:
     def test_single_block_n_first(self):
         p = MMProblem(5, 5, 5)
-        rep = io_n_first(p, T5)
+        rep = io_for_class(p, T5, InnerClass.N_FIRST)
         assert rep.streaming_elems == 2 * 25 + 25
         assert rep.stationary_elems == 25
         assert rep.total_elems == 100
 
     def test_single_block_m_first(self):
-        rep = io_m_first(MMProblem(5, 5, 5), T5)
+        rep = io_for_class(MMProblem(5, 5, 5), T5, InnerClass.M_FIRST)
         assert rep.total_elems == 25 + 2 * 25 + 25
 
     def test_single_block_k_first(self):
-        rep = io_k_first(MMProblem(5, 5, 5), T5)
+        rep = io_for_class(MMProblem(5, 5, 5), T5, InnerClass.K_FIRST)
         assert rep.total_elems == 25 + 25 + 2 * 25
 
     def test_n_first_skewed(self):
         # 64 blocks of (2mn + nk) = 75, plus MK = 200
-        rep = io_n_first(MMProblem(40, 5, 40), T5)
+        rep = io_for_class(MMProblem(40, 5, 40), T5, InnerClass.N_FIRST)
         assert rep.streaming_elems == 4800
         assert rep.stationary_elems == 200
         assert rep.total_elems == 5000
 
     def test_m_first_cube(self):
-        assert io_m_first(MMProblem(40, 40, 40), T5).total_elems == 40000
+        assert io_for_class(MMProblem(40, 40, 40), T5, InnerClass.M_FIRST).total_elems == 40000
 
     def test_k_first_skewed(self):
-        assert io_k_first(MMProblem(40, 5, 40), T5).total_elems == 6400
+        assert io_for_class(MMProblem(40, 5, 40), T5, InnerClass.K_FIRST).total_elems == 6400
 
     def test_k_first_cube(self):
-        assert io_k_first(MMProblem(40, 40, 40), T5).total_elems == 28800
+        assert io_for_class(MMProblem(40, 40, 40), T5, InnerClass.K_FIRST).total_elems == 28800
 
     def test_total_bytes(self):
-        rep = io_k_first(MMProblem(40, 40, 40, element_bytes=4), T5)
+        rep = io_for_class(MMProblem(40, 40, 40, element_bytes=4), T5, InnerClass.K_FIRST)
         assert rep.total_bytes == 28800 * 4
 
-    def test_non_divisible_rejected(self):
-        with pytest.raises(DivisibilityError):
-            io_m_first(MMProblem(64, 5, 32), T5)
+    def test_ragged_counts_exact(self):
+        # the hand count of tests/test_sim.py::test_ragged_counts_by_hand
+        assert io_for_class(MMProblem(64, 5, 32), T5, InnerClass.M_FIRST).total_elems == 6496
 
     def test_fractional_evaluation_of_ragged_dims(self):
         # the closed forms evaluated at non-divisible dims, kept exact
@@ -103,32 +100,34 @@ class TestClosedForms:
             p = MMProblem(m * rng.randint(1, 9), k * rng.randint(1, 9), n * rng.randint(1, 9))
             t = TileShape(m, k, n)
             assert formula_total(p.M, p.K, p.N, m, k, n, InnerClass.N_FIRST) \
-                == io_n_first(p, t).total_elems
+                == io_for_class(p, t, InnerClass.N_FIRST).total_elems
             assert formula_total(p.M, p.K, p.N, m, k, n, InnerClass.M_FIRST) \
-                == io_m_first(p, t).total_elems
+                == io_for_class(p, t, InnerClass.M_FIRST).total_elems
             assert formula_total(p.M, p.K, p.N, m, k, n, InnerClass.K_FIRST) \
-                == io_k_first(p, t).total_elems
+                == io_for_class(p, t, InnerClass.K_FIRST).total_elems
 
     def test_m_n_exchange_symmetry(self):
         rng = random.Random(3)
         for _ in range(100):
             m, k, n = (rng.randint(1, 7) for _ in range(3))
             M, K, N = m * rng.randint(1, 8), k * rng.randint(1, 8), n * rng.randint(1, 8)
-            fwd = io_m_first(MMProblem(M, K, N), TileShape(m, k, n)).total_elems
-            rev = io_n_first(MMProblem(N, K, M), TileShape(n, k, m)).total_elems
+            p, t = MMProblem(M, K, N), TileShape(m, k, n)
+            p_t, t_t = MMProblem(N, K, M), TileShape(n, k, m)
+            fwd = io_for_class(p, t, InnerClass.M_FIRST).total_elems
+            rev = io_for_class(p_t, t_t, InnerClass.N_FIRST).total_elems
             assert fwd == rev
-            assert io_k_first(MMProblem(M, K, N), TileShape(m, k, n)).total_elems \
-                == io_k_first(MMProblem(N, K, M), TileShape(n, k, m)).total_elems
+            assert io_for_class(p, t, InnerClass.K_FIRST).total_elems \
+                == io_for_class(p_t, t_t, InnerClass.K_FIRST).total_elems
 
     def test_c_zero_drops_first_touch_loads(self):
         p = MMProblem(40, 40, 40)
         mn = p.M * p.N
-        assert io_k_first(p, T5, c_zero=True).total_elems \
-            == io_k_first(p, T5).total_elems - mn
-        assert io_m_first(p, T5, c_zero=True).total_elems \
-            == io_m_first(p, T5).total_elems - mn
-        assert io_n_first(p, T5, c_zero=True).total_elems \
-            == io_n_first(p, T5).total_elems - mn
+        assert io_for_class(p, T5, InnerClass.K_FIRST, c_zero=True).total_elems \
+            == io_for_class(p, T5, InnerClass.K_FIRST).total_elems - mn
+        assert io_for_class(p, T5, InnerClass.M_FIRST, c_zero=True).total_elems \
+            == io_for_class(p, T5, InnerClass.M_FIRST).total_elems - mn
+        assert io_for_class(p, T5, InnerClass.N_FIRST, c_zero=True).total_elems \
+            == io_for_class(p, T5, InnerClass.N_FIRST).total_elems - mn
 
 
 class TestSelectSchedule:

@@ -11,6 +11,7 @@ from memtile.io_model import (
     MMProblem,
     Schedule,
     io_for_class,
+    select_schedule,
 )
 from memtile.sim import (
     brute_force_best,
@@ -126,6 +127,38 @@ class TestRaggedProblems:
         rep = simulate_schedule(MMProblem(3, 2, 4), Schedule(LoopOrder.MNK, TileShape(5, 5, 5)))
         assert rep.blocks_executed == 1
         assert rep.total_elems == 3 * 2 + 2 * 4 + 2 * 3 * 4
+
+
+class TestRaggedOracle:
+    """The ceiling-count formulas against the loop-nest simulator, zero tolerance."""
+
+    @staticmethod
+    def ragged_cases(seed, count):
+        rng = random.Random(seed)
+        cases = []
+        while len(cases) < count:
+            t = TileShape(*(rng.randint(1, 8) for _ in range(3)))
+            p = MMProblem(*(rng.randint(1, 30) for _ in range(3)))
+            if p.M % t.m or p.K % t.k or p.N % t.n:
+                cases.append((p, t))
+        return cases
+
+    def test_every_order_and_split_matches_simulator(self):
+        for p, t in self.ragged_cases(seed=2024, count=1000):
+            for c_zero in (False, True):
+                for order in LoopOrder:
+                    rep = simulate_schedule(p, Schedule(order, t), c_zero=c_zero)
+                    counted = io_report_from_sim(rep, order.inner_class, p.element_bytes)
+                    exact = io_for_class(p, t, order.inner_class, c_zero=c_zero)
+                    assert exact == counted, (p, t, order, c_zero)
+
+    def test_selection_matches_brute_force(self):
+        for p, t in self.ragged_cases(seed=7, count=300):
+            for c_zero in (False, True):
+                schedule, rep = brute_force_best(p, t, c_zero=c_zero)
+                assert select_schedule(p, t, c_zero=c_zero) == schedule
+                assert io_for_class(p, t, schedule.inner_class, c_zero=c_zero).total_elems \
+                    == rep.total_elems
 
 
 class TestBruteForce:
