@@ -4,123 +4,32 @@ Given a hardware description and an M x K x N multiplication, derive the
 tile shape and block loop order that minimize external memory traffic,
 validate the closed-form accounting against an exact access-counting
 simulator, and emit schedule descriptors plus portable scalar kernels.
+
+The package exports the names the README documents; everything else is
+reached through its module (``memtile.io_model``, ``memtile.sim``, ...).
 """
 
-from .benchmarks import BenchmarkFixture, BenchmarkLayer, benchmark_names, load_benchmark
-from .emit import (
-    KernelIR,
-    LoopSpec,
-    ScheduleDescriptor,
-    build_kernel_ir,
-    emit_descriptor,
-    emit_kernel_source,
-    kernel_name,
-)
-from .hardware import (
-    HardwareSpec,
-    RooflinePoint,
-    attainable_throughput,
-    fixture_hardware,
-    fixture_names,
-    load_hardware,
-    resolve_hardware,
-    ridge_point,
-    roofline_point,
-)
-from .io_model import (
-    CANONICAL_ORDER,
-    CLASS_PRIORITY,
-    DivisibilityError,
-    InnerClass,
-    IOReport,
-    LoopOrder,
-    MMProblem,
-    Schedule,
-    all_class_io,
-    formula_total,
-    io_for_class,
-    m_first_condition,
-    pad_to_tiles,
-    select_schedule,
-)
-from .sim import (
-    SimReport,
-    StreamTimingReport,
-    brute_force_best,
-    check_streaming_hiding,
-    interpret_kernel,
-    io_report_from_sim,
-    measure_cake_bw,
-    run_functional,
-    simulate_schedule,
-)
-from .tiling import (
-    A72_CORE_TILE,
-    CBBlock,
-    FIXTURE_TILES,
-    Q15_DSP_TILE,
-    TileShape,
-    arithmetic_intensity_of_tile,
-    best_register_tile,
-    cake_offchip_bw,
-    derive_cake_block,
-    derive_square_tile,
-)
+from .benchmarks import load_benchmark
+from .emit import emit_descriptor, emit_kernel_source
+from .hardware import fixture_hardware
+from .io_model import LoopOrder, MMProblem, Schedule, io_for_class, select_schedule
+from .sim import simulate_schedule
+from .tiling import TileShape, best_register_tile, derive_square_tile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A72_CORE_TILE",
-    "BenchmarkFixture",
-    "BenchmarkLayer",
-    "CANONICAL_ORDER",
-    "CBBlock",
-    "CLASS_PRIORITY",
-    "DivisibilityError",
-    "FIXTURE_TILES",
-    "HardwareSpec",
-    "InnerClass",
-    "IOReport",
-    "KernelIR",
     "LoopOrder",
-    "LoopSpec",
     "MMProblem",
-    "Q15_DSP_TILE",
-    "RooflinePoint",
     "Schedule",
-    "ScheduleDescriptor",
-    "SimReport",
-    "StreamTimingReport",
     "TileShape",
-    "all_class_io",
-    "arithmetic_intensity_of_tile",
-    "attainable_throughput",
-    "benchmark_names",
     "best_register_tile",
-    "brute_force_best",
-    "build_kernel_ir",
-    "cake_offchip_bw",
-    "check_streaming_hiding",
-    "derive_cake_block",
     "derive_square_tile",
     "emit_descriptor",
     "emit_kernel_source",
     "fixture_hardware",
-    "fixture_names",
-    "formula_total",
-    "interpret_kernel",
     "io_for_class",
-    "io_report_from_sim",
-    "kernel_name",
     "load_benchmark",
-    "load_hardware",
-    "m_first_condition",
-    "measure_cake_bw",
-    "pad_to_tiles",
-    "resolve_hardware",
-    "ridge_point",
-    "roofline_point",
-    "run_functional",
     "select_schedule",
     "simulate_schedule",
 ]

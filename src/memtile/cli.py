@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .benchmarks import load_benchmark
-from .emit import ScheduleDescriptor, emit_descriptor, emit_kernel_source
+from .emit import emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import (
     DivisibilityError,
@@ -19,7 +19,6 @@ from .io_model import (
     MMProblem,
     Schedule,
     all_class_io,
-    io_for_class,
     pad_to_tiles,
     select_schedule,
 )
@@ -30,24 +29,31 @@ _CSV_COLUMNS = ["layer_id", "M", "K", "N", "order", "m", "k", "n",
                 "io_analytic", "io_simulated", "pred_throughput"]
 
 
-def _divisible(problem: MMProblem, tile: TileShape) -> bool:
-    return not (problem.M % tile.m or problem.K % tile.k or problem.N % tile.n)
+def _tile(hw: HardwareSpec, m: int | None = None, k: int | None = None,
+          n: int | None = None) -> TileShape:
+    """The explicit ``m x k x n`` tile (all three or none), else the largest square tile."""
+    if (m, k, n) == (None, None, None):
+        t = derive_square_tile(hw.reuse_registers)
+        return TileShape(t, t, t)
+    if None in (m, k, n):
+        raise ValueError("give all of -m, -k, -n or none")
+    return TileShape(m, k, n)
 
 
-def _choose(problem: MMProblem, tile: TileShape, args,
-            order: LoopOrder | None = None) -> tuple[Schedule, IOReport, dict, str]:
-    """Pick a schedule (or take ``order``) and its IO under the --pad / --simulate policy.
+def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool, pad: bool = False,
+            simulate: bool = False, order: LoopOrder | None = None,
+            ) -> tuple[Schedule, IOReport, dict, str]:
+    """Pick a schedule (or take ``order``) and its IO under the count policy.
 
     Returns (schedule, io report, per-class totals, note). The counts are
-    exact for every problem; a ragged one still needs a flag, choosing
-    between its exact counts (--simulate) and a padded estimate (--pad).
+    exact for every problem; a ragged one still needs a policy, choosing
+    between its exact counts (``simulate``) and a padded estimate (``pad``).
     """
-    c_zero = args.c_zero
     basis, note = problem, ""
-    if not _divisible(problem, tile):
-        if args.simulate:
+    if problem.M % tile.m or problem.K % tile.k or problem.N % tile.n:
+        if simulate:
             note = "exact ceiling-count IO (ragged edge tiles clamped)"
-        elif args.pad:
+        elif pad:
             basis = pad_to_tiles(problem, tile)
             note = f"padded to {basis.M}x{basis.K}x{basis.N} for closed-form IO"
         else:
@@ -63,15 +69,29 @@ def _choose(problem: MMProblem, tile: TileShape, args,
     return schedule, reports[schedule.inner_class], per_class, note
 
 
-def _print_schedule(problem: MMProblem, tile: TileShape, schedule: Schedule,
-                    io_rep: IOReport, per_class: dict, hw: HardwareSpec,
-                    note: str, args) -> None:
+def _print_note(note: str, beside_json: bool) -> None:
+    """Print the count note as the last line of text output, or on stderr
+    beside JSON, which must stay parseable: padded counts never pass for exact."""
+    if note and beside_json:
+        print(f"note: {note}", file=sys.stderr)
+    elif note:
+        print(f"note:    {note}")
+
+
+def cmd_schedule(args) -> int:
+    """derive and select: one schedule, on the given tile or else the square one."""
+    hw = resolve_hardware(args.hw)
+    problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
+    tile = _tile(hw, args.m, args.k, args.n)
+    schedule, io_rep, per_class, note = _choose(
+        problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate)
     desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
     if args.out:
         Path(args.out).write_text(desc.to_json(), encoding="utf-8")
     if args.format == "json":
         print(desc.to_json(), end="")
-        return
+        _print_note(note, beside_json=True)
+        return 0
     ai = problem.macs / io_rep.total_elems
     ridge = ridge_point(hw)
     bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
@@ -87,26 +107,7 @@ def _print_schedule(problem: MMProblem, tile: TileShape, schedule: Schedule,
     print(f"classes: {per}")
     print(f"roofline: intensity {ai:.3f} MACs/elem, ridge {ridge:.3f}, "
           f"predicted {desc.predicted_throughput_macs_per_s:.3e} MACs/s ({bound})")
-    if note:
-        print(f"note:    {note}")
-
-
-def cmd_derive(args) -> int:
-    hw = resolve_hardware(args.hw)
-    problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
-    t = derive_square_tile(hw.reuse_registers)
-    tile = TileShape(t, t, t)
-    schedule, io_rep, per_class, note = _choose(problem, tile, args)
-    _print_schedule(problem, tile, schedule, io_rep, per_class, hw, note, args)
-    return 0
-
-
-def cmd_select(args) -> int:
-    hw = resolve_hardware(args.hw)
-    problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
-    tile = TileShape(args.m, args.k, args.n)
-    schedule, io_rep, per_class, note = _choose(problem, tile, args)
-    _print_schedule(problem, tile, schedule, io_rep, per_class, hw, note, args)
+    _print_note(note, beside_json=False)
     return 0
 
 
@@ -132,18 +133,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_rows(hw: HardwareSpec, fixture, args) -> list[dict]:
-    t = derive_square_tile(hw.reuse_registers)
-    tile = TileShape(t, t, t)
+def _sweep_rows(hw: HardwareSpec, fixture, c_zero: bool) -> list[dict]:
+    tile = _tile(hw)
     rows = []
     for layer in sorted(fixture.layers, key=lambda l: l.layer_id):
         problem = MMProblem(layer.M, layer.K, layer.N, hw.element_bytes)
         # Order is chosen from the closed forms (on the padded problem when
         # ragged); the simulated column is always the exact ragged count.
-        basis = problem if _divisible(problem, tile) else pad_to_tiles(problem, tile)
-        schedule = select_schedule(basis, tile, c_zero=args.c_zero)
-        analytic = io_for_class(basis, tile, schedule.inner_class, c_zero=args.c_zero)
-        simulated = simulate_schedule(problem, schedule, c_zero=args.c_zero)
+        schedule, analytic, _, _ = _choose(problem, tile, c_zero=c_zero, pad=True)
+        simulated = simulate_schedule(problem, schedule, c_zero=c_zero)
         pred = attainable_throughput(hw, problem.macs / simulated.total_elems)
         rows.append({
             "layer_id": layer.layer_id,
@@ -160,7 +158,7 @@ def _sweep_rows(hw: HardwareSpec, fixture, args) -> list[dict]:
 def cmd_sweep(args) -> int:
     hw = resolve_hardware(args.hw)
     fixture = load_benchmark(args.fixture)
-    rows = _sweep_rows(hw, fixture, args)
+    rows = _sweep_rows(hw, fixture, args.c_zero)
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     elif args.format == "text":
@@ -211,15 +209,10 @@ def cmd_roofline(args) -> int:
 def cmd_emit(args) -> int:
     hw = resolve_hardware(args.hw)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
-    if args.m or args.k or args.n:
-        if not (args.m and args.k and args.n):
-            raise ValueError("give all of -m, -k, -n or none")
-        tile = TileShape(args.m, args.k, args.n)
-    else:
-        t = derive_square_tile(hw.reuse_registers)
-        tile = TileShape(t, t, t)
+    tile = _tile(hw, args.m, args.k, args.n)
     order = LoopOrder.parse(args.order) if args.order else None
-    schedule, io_rep, per_class, note = _choose(problem, tile, args, order)
+    schedule, io_rep, per_class, note = _choose(
+        problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate, order=order)
     element_type = "f32" if args.dtype == "f32" else "i16-q15-scalar"
     source = emit_kernel_source(schedule, element_type)
     if args.out:
@@ -232,9 +225,41 @@ def cmd_emit(args) -> int:
     if args.out:
         # kernel went to a file; the descriptor is the stdout artifact
         print(desc.to_json(), end="")
-        if note:
-            print(f"note: {note}", file=sys.stderr)
+        _print_note(note, beside_json=True)
     return 0
+
+
+_FLAGS = {
+    "--hw": {"required": True, "metavar": "FILE|NAME",
+             "help": "hardware descriptor JSON file, or a bundled fixture name"},
+    "--out": {"metavar": "FILE", "help": "write the primary artifact here"},
+    "--c-zero": {"action": "store_true", "dest": "c_zero",
+                 "help": "treat C as initially zero: skip first-touch C loads"},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
+
+
+def _add_count_policy(p: argparse.ArgumentParser) -> None:
+    """--pad and --simulate: the two ways to count a ragged problem, so one at most."""
+    policy = p.add_mutually_exclusive_group()
+    policy.add_argument("--pad", action="store_true",
+                        help="round dims up to tile multiples for closed-form IO")
+    policy.add_argument("--simulate", action="store_true",
+                        help="count ragged problems exactly, edge tiles clamped")
+
+
+def _add_dims(p: argparse.ArgumentParser) -> None:
+    for dim in ("M", "K", "N"):
+        p.add_argument(dim, type=int)
+
+
+def _add_tile(p: argparse.ArgumentParser, required: bool) -> None:
+    for dim in ("-m", "-k", "-n"):
+        p.add_argument(dim, type=int, required=required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,87 +267,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="memtile",
         description="Derive, simulate and emit minimum-IO schedules for blocked "
                     "matrix multiplication.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hw", metavar="FILE|NAME",
-                        help="hardware descriptor JSON file, or a bundled fixture name")
-    common.add_argument("--out", metavar="FILE", help="write the primary artifact here")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None)
-    common.add_argument("--pad", action="store_true",
-                        help="round dims up to tile multiples for closed-form IO")
-    common.add_argument("--c-zero", action="store_true", dest="c_zero",
-                        help="treat C as initially zero: skip first-touch C loads")
-    common.add_argument("--simulate", action="store_true",
-                        help="count ragged problems exactly, edge tiles clamped")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", parents=[common],
-                       help="derive tile + schedule for a problem on a device")
-    p.add_argument("M", type=int)
-    p.add_argument("K", type=int)
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_derive, format_default="text")
+    p = sub.add_parser("derive", help="derive tile + schedule for a problem on a device")
+    _add_dims(p)
+    _add_flags(p, "--hw", "--out", "--c-zero")
+    _add_count_policy(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.set_defaults(func=cmd_schedule, m=None, k=None, n=None)  # no tile: the square one
 
-    p = sub.add_parser("select", parents=[common],
-                       help="select the loop order for an explicit tile")
-    p.add_argument("M", type=int)
-    p.add_argument("K", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_select, format_default="text")
+    p = sub.add_parser("select", help="select the loop order for an explicit tile")
+    _add_dims(p)
+    _add_tile(p, required=True)
+    _add_flags(p, "--hw", "--out", "--c-zero")
+    _add_count_policy(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="count external accesses for one schedule exactly")
-    p.add_argument("M", type=int)
-    p.add_argument("K", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("simulate", help="count external accesses for one schedule exactly")
+    _add_dims(p)
+    _add_tile(p, required=True)
     p.add_argument("--order", required=True,
                    help="block loop order, e.g. 'M->N->K' or 'MNK' (outer->inner)")
-    p.set_defaults(func=cmd_simulate, format_default="text")
+    _add_flags(p, "--out", "--c-zero")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run derivation over a benchmark layer table")
+    p = sub.add_parser("sweep", help="run derivation over a benchmark layer table")
     p.add_argument("--fixture", required=True,
                    help="bundled benchmark name (mlperf-tiny, dlmc) or a CSV path")
-    p.set_defaults(func=cmd_sweep, format_default="csv")
+    _add_flags(p, "--hw", "--out", "--c-zero")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
+    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("roofline", parents=[common],
-                       help="classify a tile's intensity against the device ridge")
+    p = sub.add_parser("roofline", help="classify a tile's intensity against the device ridge")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_roofline, format_default="text")
+    _add_flags(p, "--hw", "--out")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.set_defaults(func=cmd_roofline)
 
-    p = sub.add_parser("emit", parents=[common],
-                       help="generate kernel source and a schedule descriptor")
-    p.add_argument("M", type=int)
-    p.add_argument("K", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("-m", type=int)
-    p.add_argument("-k", type=int)
-    p.add_argument("-n", type=int)
+    p = sub.add_parser("emit", help="generate kernel source and a schedule descriptor")
+    _add_dims(p)
+    _add_tile(p, required=False)
     p.add_argument("--order", help="force a loop order instead of selecting one")
     p.add_argument("--dtype", choices=("f32", "q15"), default="f32")
     p.add_argument("--descriptor-out", metavar="FILE",
                    help="also write the descriptor JSON here")
-    p.set_defaults(func=cmd_emit, format_default="text")
+    _add_flags(p, "--hw", "--out", "--c-zero")
+    _add_count_policy(p)
+    p.set_defaults(func=cmd_emit)
 
     return parser
 
 
-_HW_COMMANDS = {"cmd_derive", "cmd_select", "cmd_sweep", "cmd_roofline", "cmd_emit"}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
-    if args.func.__name__ in _HW_COMMANDS and not args.hw:
-        parser.error(f"{args.command} requires --hw")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -17,9 +17,9 @@ follow the mema_outer_<m>x<k>x<n> naming convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .hardware import HardwareSpec, attainable_throughput
+from .hardware import HardwareSpec, _integer, _number, attainable_throughput
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -101,61 +101,59 @@ class ScheduleDescriptor:
     schema: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "M": self.M,
-            "K": self.K,
-            "N": self.N,
-            "element_bytes": self.element_bytes,
-            "order": self.order,
-            "m": self.m,
-            "k": self.k,
-            "n": self.n,
-            "inner_class": self.inner_class,
-            "stationary": self.stationary,
-            "streaming_elems": self.streaming_elems,
-            "stationary_elems": self.stationary_elems,
-            "total_io_elems": self.total_io_elems,
-            "total_io_bytes": self.total_io_bytes,
-            "per_class_total_elems": self.per_class_total_elems,
-            "predicted_throughput_macs_per_s": self.predicted_throughput_macs_per_s,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleDescriptor":
+        """Parse and check a descriptor; anything malformed or inconsistent is a ValueError.
+
+        Integer fields must hold integral numbers (40.9 is rejected, not
+        truncated), the throughput a finite number, and text fields strings.
+        The totals must add up, and ``order`` must parse and agree with
+        ``inner_class`` and ``stationary``.
+        """
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("schedule descriptor must be a JSON object")
         schema = raw.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported descriptor schema {schema!r}")
-        known = {
-            "schema", "M", "K", "N", "element_bytes", "order", "m", "k", "n",
-            "inner_class", "stationary", "streaming_elems", "stationary_elems",
-            "total_io_elems", "total_io_bytes", "per_class_total_elems",
-            "predicted_throughput_macs_per_s",
-        }
-        unknown = set(raw) - known
+        types = {f.name: f.type for f in fields(cls)}  # type names, as annotations are strings
+        unknown = set(raw) - set(types)
         if unknown:
             raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
-        missing = known - set(raw)
+        missing = set(types) - set(raw)
         if missing:
             raise ValueError(f"missing descriptor keys: {sorted(missing)}")
-        return cls(
-            M=int(raw["M"]), K=int(raw["K"]), N=int(raw["N"]),
-            element_bytes=int(raw["element_bytes"]),
-            order=str(raw["order"]),
-            m=int(raw["m"]), k=int(raw["k"]), n=int(raw["n"]),
-            inner_class=str(raw["inner_class"]),
-            stationary=str(raw["stationary"]),
-            streaming_elems=int(raw["streaming_elems"]),
-            stationary_elems=int(raw["stationary_elems"]),
-            total_io_elems=int(raw["total_io_elems"]),
-            total_io_bytes=int(raw["total_io_bytes"]),
-            per_class_total_elems={str(c): int(v) for c, v in raw["per_class_total_elems"].items()},
-            predicted_throughput_macs_per_s=float(raw["predicted_throughput_macs_per_s"]),
-        )
+        values = {}
+        for name, kind in types.items():
+            if kind == "int":
+                values[name] = _integer(raw, name)
+            elif kind == "float":
+                values[name] = _number(raw, name)
+            elif kind == "str":
+                if not isinstance(raw[name], str):
+                    raise ValueError(f"{name} must be a string, got {raw[name]!r}")
+                values[name] = raw[name]
+        per_class = raw["per_class_total_elems"]
+        if not isinstance(per_class, dict):
+            raise ValueError(f"per_class_total_elems must be an object, got {per_class!r}")
+        values["per_class_total_elems"] = {c: _integer(per_class, c) for c in per_class}
+        desc = cls(**values)
+        if desc.total_io_elems != desc.streaming_elems + desc.stationary_elems:
+            raise ValueError(
+                f"total_io_elems {desc.total_io_elems} != streaming_elems "
+                f"{desc.streaming_elems} + stationary_elems {desc.stationary_elems}")
+        if desc.total_io_bytes != desc.total_io_elems * desc.element_bytes:
+            raise ValueError(
+                f"total_io_bytes {desc.total_io_bytes} != total_io_elems "
+                f"{desc.total_io_elems} * element_bytes {desc.element_bytes}")
+        inner = LoopOrder.parse(desc.order).inner_class
+        if (desc.inner_class, desc.stationary) != (inner.value, inner.stationary):
+            raise ValueError(
+                f"order {desc.order} is {inner.value} with {inner.stationary} stationary, "
+                f"but the descriptor says {desc.inner_class} with {desc.stationary} stationary")
+        return desc
 
     def problem(self) -> MMProblem:
         return MMProblem(self.M, self.K, self.N, self.element_bytes)

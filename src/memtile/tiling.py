@@ -150,15 +150,3 @@ def cake_offchip_bw(m: int, n: int, f: float) -> float:
         raise ValueError("per-core peak must be positive")
     return float(Fraction(m + n, m * n) * Fraction(f))
 
-
-# Shapes that come from packing/ISA constraints rather than the register
-# budget arithmetic, shipped as data instead of being derived:
-#   - 4x2x2 dual-MAC tile for packed 16-bit arithmetic (12-register budget),
-#   - 8x1x12 per-core outer-product tile for a 128-register application core.
-Q15_DSP_TILE = TileShape(4, 2, 2)
-A72_CORE_TILE = TileShape(8, 1, 12)
-
-FIXTURE_TILES: dict[str, TileShape] = {
-    "cortex-m4-q15": Q15_DSP_TILE,
-    "cortex-a72": A72_CORE_TILE,
-}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from memtile.cli import main
+from memtile.cli import build_parser, main
 from memtile.emit import ScheduleDescriptor
 from memtile.hardware import fixture_hardware
 from memtile.io_model import CANONICAL_ORDER, InnerClass, LoopOrder, MMProblem, Schedule
@@ -116,6 +116,19 @@ class TestDerive:
     def test_missing_hw_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["derive", "40", "40", "40"])
+
+    @pytest.mark.parametrize("command, tile, policy, note", [
+        ("derive", [], "--pad", "note: padded to 45x40x40 for closed-form IO\n"),
+        ("derive", [], "--simulate", "note: exact ceiling-count IO (ragged edge tiles clamped)\n"),
+        ("select", ["-m", "4", "-k", "4", "-n", "4"], "--pad",
+         "note: padded to 44x40x40 for closed-form IO\n"),
+    ])
+    def test_json_output_puts_count_note_on_stderr(self, capsys, command, tile, policy, note):
+        code, out, err = run_cli(capsys, command, "--hw", M4, "41", "40", "40", *tile, policy,
+                                 "--format", "json")
+        assert code == 0
+        ScheduleDescriptor.from_json(out)
+        assert err == note
 
     def test_unknown_fixture_name(self, capsys):
         code, _, err = run_cli(capsys, "derive", "--hw", "no-such-device", "40", "40", "40")
@@ -313,7 +326,73 @@ class TestEmit:
         assert "does not divide" in err and "--pad" in err and "--simulate" in err
         assert not kernel.exists()
 
+    @pytest.mark.parametrize("tile", [["0", "0", "0"], ["0", "5", "5"]])
+    def test_zero_tile_dim_rejected(self, capsys, tile):
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40",
+                                 "-m", tile[0], "-k", tile[1], "-n", tile[2])
+        assert code == 1
+        assert out == ""
+        assert err == "error: tile dims must be >= 1\n"
+
     def test_stdout_source_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40")
         assert code == 0
         assert "mema_outer_5x5x5" in out
+
+
+# Every option each subcommand accepts; each one is read by its handler.
+OPTIONS = {
+    "derive": {"--hw", "--out", "--format", "--pad", "--simulate", "--c-zero"},
+    "select": {"--hw", "--out", "--format", "--pad", "--simulate", "--c-zero",
+               "-m", "-k", "-n"},
+    "simulate": {"--out", "--format", "--c-zero", "-m", "-k", "-n", "--order"},
+    "sweep": {"--hw", "--out", "--format", "--c-zero", "--fixture"},
+    "roofline": {"--hw", "--out", "--format", "-m", "-n"},
+    "emit": {"--hw", "--out", "--pad", "--simulate", "--c-zero", "-m", "-k", "-n",
+             "--order", "--dtype", "--descriptor-out"},
+}
+
+VALID = {
+    "derive": ["derive", "--hw", M4, "40", "40", "40"],
+    "select": ["select", "--hw", M4, "40", "40", "40", "-m", "5", "-k", "5", "-n", "5"],
+    "simulate": ["simulate", "40", "40", "40", "-m", "5", "-k", "5", "-n", "5",
+                 "--order", "MNK"],
+    "sweep": ["sweep", "--hw", M4, "--fixture", "mlperf-tiny"],
+    "roofline": ["roofline", "--hw", M4, "-m", "5", "-n", "5"],
+    "emit": ["emit", "--hw", M4, "40", "40", "40"],
+}
+
+
+def usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestFlags:
+    def test_each_subcommand_declares_exactly_its_options(self):
+        sub = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+        assert set(sub.choices) == set(OPTIONS)
+        for command, parser in sub.choices.items():
+            declared = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert declared == OPTIONS[command], command
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", ["--hw", M4]), ("simulate", ["--pad"]), ("simulate", ["--simulate"]),
+        ("sweep", ["--pad"]), ("sweep", ["--simulate"]),
+        ("roofline", ["--pad"]), ("roofline", ["--simulate"]), ("roofline", ["--c-zero"]),
+        ("emit", ["--format", "json"]),
+    ])
+    def test_flag_the_subcommand_ignores_is_a_usage_error(self, capsys, command, flag):
+        assert usage_error(VALID[command] + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["derive", "select", "emit"])
+    def test_pad_and_simulate_exclude_each_other(self, capsys, command):
+        assert usage_error(VALID[command] + ["--pad", "--simulate"]) == 2
+        assert "not allowed with argument --pad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["derive", "select", "roofline"])
+    def test_csv_only_where_printed(self, capsys, command):
+        assert usage_error(VALID[command] + ["--format", "csv"]) == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import shutil
 import subprocess
 
@@ -78,6 +79,33 @@ class TestDescriptor:
         text = cube40_descriptor().to_json().replace('"v1"', '"v2"')
         with pytest.raises(ValueError, match="schema"):
             ScheduleDescriptor.from_json(text)
+
+    def test_missing_key_rejected(self):
+        raw = json.loads(cube40_descriptor().to_json())
+        del raw["n"]
+        with pytest.raises(ValueError, match="missing descriptor keys: \\['n'\\]"):
+            ScheduleDescriptor.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("M", 40.9, "M must be an integer"),
+        ("M", True, "M must be a number"),
+        ("M", "40", "M must be a number"),
+        ("predicted_throughput_macs_per_s", "fast", "must be a number"),
+        ("predicted_throughput_macs_per_s", float("nan"), "must be finite"),
+        ("order", 5, "order must be a string"),
+        ("per_class_total_elems", [28800], "must be an object"),
+        ("per_class_total_elems", {"K-first": 28800.5}, "K-first must be an integer"),
+        ("total_io_elems", 12345, "total_io_elems 12345 != streaming_elems"),
+        ("total_io_bytes", 28800, "total_io_bytes 28800 != total_io_elems"),
+        ("order", "M->M->K", "unknown loop order"),
+        ("inner_class", "M-first", "order M->N->K is K-first"),
+        ("stationary", "A", "order M->N->K is K-first with C stationary"),
+    ])
+    def test_bad_field_rejected(self, key, value, match):
+        raw = json.loads(cube40_descriptor().to_json())
+        raw[key] = value
+        with pytest.raises(ValueError, match=match):
+            ScheduleDescriptor.from_json(json.dumps(raw))
 
 
 class TestKernelIR:

@@ -3,10 +3,7 @@ from fractions import Fraction
 import pytest
 
 from memtile.tiling import (
-    A72_CORE_TILE,
     CBBlock,
-    FIXTURE_TILES,
-    Q15_DSP_TILE,
     TileShape,
     arithmetic_intensity_of_tile,
     best_register_tile,
@@ -108,12 +105,6 @@ class TestTileShape:
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
             TileShape(0, 1, 1)
-
-    def test_fixture_tiles(self):
-        assert Q15_DSP_TILE == TileShape(4, 2, 2)
-        assert A72_CORE_TILE == TileShape(8, 1, 12)
-        assert A72_CORE_TILE.fits_registers(128)
-        assert FIXTURE_TILES["cortex-m4-q15"] is Q15_DSP_TILE
 
 
 class TestDeriveCakeBlock:
