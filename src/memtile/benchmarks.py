@@ -38,11 +38,19 @@ def _parse_layers_csv(name: str, text: str) -> BenchmarkFixture:
     expected = ["layer_id", "M", "K", "N"]
     if reader.fieldnames != expected:
         raise ValueError(f"benchmark {name!r}: expected columns {expected}, got {reader.fieldnames}")
-    layers = tuple(
-        BenchmarkLayer(int(r["layer_id"]), int(r["M"]), int(r["K"]), int(r["N"]))
-        for r in reader
-    )
-    return BenchmarkFixture(name=name, layers=layers)
+    layers = []
+    for row, record in enumerate(reader, start=1):
+        if None in record:  # DictReader's key for fields beyond the header
+            raise ValueError(f"benchmark {name!r} layer row {row}: {len(expected)} fields "
+                             f"expected, got {len(expected) + len(record[None])}")
+        for col in expected:
+            # ASCII digits only: int() alone also takes "4_0", " 40" and non-ASCII digits.
+            value = record[col]
+            if value is None or not (value.isascii() and value.isdigit()):
+                raise ValueError(f"benchmark {name!r} layer row {row}, column {col}: "
+                                 f"expected a whole number in ASCII digits, got {value!r}")
+        layers.append(BenchmarkLayer(*(int(record[col]) for col in expected)))
+    return BenchmarkFixture(name=name, layers=tuple(layers))
 
 
 def benchmark_names() -> list[str]:

@@ -225,7 +225,7 @@ def cmd_emit(args) -> int:
     if args.out:
         # kernel went to a file; the descriptor is the stdout artifact
         print(desc.to_json(), end="")
-        _print_note(note, beside_json=True)
+    _print_note(note, beside_json=True)
     return 0
 
 

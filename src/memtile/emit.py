@@ -109,8 +109,11 @@ class ScheduleDescriptor:
 
         Integer fields must hold integral numbers (40.9 is rejected, not
         truncated), the throughput a finite number, and text fields strings.
-        The totals must add up, and ``order`` must parse and agree with
-        ``inner_class`` and ``stationary``.
+        Dims, tile sizes and element_bytes must be positive. The totals must
+        add up, and ``order`` must parse and agree with ``inner_class`` and
+        ``stationary``. ``per_class_total_elems`` may be empty; otherwise it
+        is keyed by class names, holds no negative total, and its entry for
+        ``inner_class`` equals ``total_io_elems``.
         """
         raw = json.loads(text)
         if not isinstance(raw, dict):
@@ -135,10 +138,21 @@ class ScheduleDescriptor:
                 if not isinstance(raw[name], str):
                     raise ValueError(f"{name} must be a string, got {raw[name]!r}")
                 values[name] = raw[name]
+        for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
+            if values[name] < 1:
+                raise ValueError(f"{name} must be >= 1, got {values[name]}")
         per_class = raw["per_class_total_elems"]
         if not isinstance(per_class, dict):
             raise ValueError(f"per_class_total_elems must be an object, got {per_class!r}")
+        classes = [c.value for c in InnerClass]
+        unknown = set(per_class) - set(classes)
+        if unknown:
+            raise ValueError(
+                f"unknown per_class_total_elems classes {sorted(unknown)}; expected {classes}")
         values["per_class_total_elems"] = {c: _integer(per_class, c) for c in per_class}
+        for c, total in values["per_class_total_elems"].items():
+            if total < 0:
+                raise ValueError(f"per_class_total_elems {c} must be >= 0, got {total}")
         desc = cls(**values)
         if desc.total_io_elems != desc.streaming_elems + desc.stationary_elems:
             raise ValueError(
@@ -153,6 +167,11 @@ class ScheduleDescriptor:
             raise ValueError(
                 f"order {desc.order} is {inner.value} with {inner.stationary} stationary, "
                 f"but the descriptor says {desc.inner_class} with {desc.stationary} stationary")
+        chosen = desc.per_class_total_elems.get(desc.inner_class)
+        if desc.per_class_total_elems and chosen != desc.total_io_elems:
+            raise ValueError(
+                f"per_class_total_elems {desc.inner_class} is {chosen}, "
+                f"but total_io_elems is {desc.total_io_elems}")
         return desc
 
     def problem(self) -> MMProblem:

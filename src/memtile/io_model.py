@@ -16,8 +16,8 @@ counts are exact for every problem, ragged or not. The factor 2 on MN
 terms counts partial C tiles being both read and written; for K-first the
 2MN is the stationary C loaded once and stored once. On divisible
 problems the totals reduce to MKN*(1/m + 2/k) + MK and its companions.
-The access-counting simulator (memtile.sim) executes the loop nest and is
-the independent oracle these counts are tested against.
+The access-counting simulator (memtile.sim) counts every block visit of
+the loop nest and is the independent oracle these counts are tested against.
 
 Everything here is pure and exact: totals are integers, and the selection
 condition is evaluated in rational arithmetic.

@@ -2,9 +2,11 @@
 
 The model has precisely two storage levels: a local memory that holds one
 stationary tile plus the tiles of the block currently being computed, and
-an external memory charged one access per element moved. A schedule is
-executed as real nested loops over computation blocks, so every load and
-store is counted rather than estimated:
+an external memory charged one access per element moved. Every block visit
+of a schedule's loop nest is counted one by one, with its own clamped tile
+sizes, so every load and store is counted rather than estimated. The visits
+are counted in numpy vector steps of a bounded number of visits each, which
+bounds memory for every shape. The rules per visit are:
 
   * the stationary operand's tile is loaded once per (outer, middle) loop
     pair and persists across the whole inner loop;
@@ -148,63 +150,77 @@ def _execute(problem: MMProblem, schedule: Schedule,
     return out
 
 
+# Block visits per vector step: bounds a step's arrays for every shape.
+_STEP_VISITS = 1 << 14
+
+
+def _step_dtype(largest: int) -> type:
+    """The narrowest array dtype in which no per-visit value or step sum wraps.
+
+    ``largest`` bounds every dim and every visit's resident elements. numpy
+    sums int32 arrays in int64; object arrays of Python ints never wrap.
+    """
+    if largest < 2**31:
+        return np.int32
+    if _STEP_VISITS * largest < 2**63:
+        return np.int64
+    return object
+
+
 def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> SimReport:
-    # Hot loop: one iteration per block visit, plain ints only. Sweeps over
-    # large layer tables execute millions of visits, so no per-visit objects.
+    # One vector step broadcasts a run of flattened (outer, middle) rows
+    # against a span of the absolute inner index, at most _STEP_VISITS
+    # visits, and charges each visit its own clamped tile sizes. A charge
+    # that applies to some visits only is the size times a per-visit mask.
     t = schedule.tile
-    m_sizes = [min(t.m, problem.M - i * t.m) for i in range(_ceil_div(problem.M, t.m))]
-    k_sizes = [min(t.k, problem.K - i * t.k) for i in range(_ceil_div(problem.K, t.k))]
-    n_sizes = [min(t.n, problem.N - i * t.n) for i in range(_ceil_div(problem.N, t.n))]
-    sizes = {"M": m_sizes, "K": k_sizes, "N": n_sizes}
+    full = {"M": problem.M, "K": problem.K, "N": problem.N}
+    edge = {"M": t.m, "K": t.k, "N": t.n}
+    counts = {d: _ceil_div(full[d], edge[d]) for d in full}
     outer, middle, inner = schedule.order.dims
-    pos = {outer: 0, middle: 1, inner: 2}
-    m_pos, k_pos, n_pos = pos["M"], pos["K"], pos["N"]
-    n_outer, n_middle, n_inner = len(sizes[outer]), len(sizes[middle]), len(sizes[inner])
+    n_middle, n_inner = counts[middle], counts[inner]
+    n_rows = counts[outer] * n_middle
+    span = min(n_inner, _STEP_VISITS)
+    rows_per_step = _STEP_VISITS // span
     stationary = schedule.stationary
-    last = n_inner - 1
+    tile_cap = t.m * t.k + t.k * t.n + t.m * t.n
+    dtype = _step_dtype(max(*full.values(), tile_cap))
 
     loads_a = loads_b = loads_c = stores_c = 0
     max_resident = 0
-    for i0 in range(n_outer):
-        for i1 in range(n_middle):
-            for i2 in range(n_inner):
-                idx = (i0, i1, i2)
-                mi = m_sizes[idx[m_pos]]
-                ki = k_sizes[idx[k_pos]]
-                ni = n_sizes[idx[n_pos]]
-                a_sz = mi * ki
-                b_sz = ki * ni
-                c_sz = mi * ni
-                if stationary == "C":
-                    if i2 == 0 and not c_zero:
-                        loads_c += c_sz
-                    loads_a += a_sz
-                    loads_b += b_sz
-                    if i2 == last:
-                        stores_c += c_sz
+    for r0 in range(0, n_rows, rows_per_step):
+        rows = np.arange(r0, min(r0 + rows_per_step, n_rows), dtype=dtype)[:, None]
+        for j0 in range(0, n_inner, span):
+            i2 = np.arange(j0, min(j0 + span, n_inner), dtype=dtype)
+            idx = {outer: rows // n_middle, middle: rows % n_middle, inner: i2}
+            mi, ki, ni = (np.minimum(edge[d], full[d] - edge[d] * idx[d]) for d in "MKN")
+            # The stationary tile's sizes vary along the rows only; the
+            # streamed operands index the inner dim, so theirs fill the step.
+            a_sz, b_sz, c_sz = mi * ki, ki * ni, mi * ni
+            first = i2 == 0
+            if stationary == "C":
+                if not c_zero:
+                    loads_c += int((c_sz * first).sum())
+                loads_a += int(a_sz.sum())
+                loads_b += int(b_sz.sum())
+                stores_c += int((c_sz * (i2 == n_inner - 1)).sum())
+            else:
+                if stationary == "A":
+                    loads_a += int((a_sz * first).sum())
+                    loads_b += int(b_sz.sum())
                 else:
-                    if stationary == "A":
-                        if i2 == 0:
-                            loads_a += a_sz
-                        loads_b += b_sz
-                    else:
-                        if i2 == 0:
-                            loads_b += b_sz
-                        loads_a += a_sz
-                    if not (c_zero and idx[k_pos] == 0):
-                        loads_c += c_sz
-                    stores_c += c_sz
-                resident = a_sz + b_sz + c_sz
-                if resident > max_resident:
-                    max_resident = resident
-    tile_cap = t.m * t.k + t.k * t.n + t.m * t.n
+                    loads_b += int((b_sz * first).sum())
+                    loads_a += int(a_sz.sum())
+                written = int(c_sz.sum())
+                loads_c += int((c_sz * (idx["K"] != 0)).sum()) if c_zero else written
+                stores_c += written
+            max_resident = max(max_resident, int((a_sz + b_sz + c_sz).max()))
     assert max_resident <= tile_cap, "resident footprint exceeded one block's tiles"
     return SimReport(
         loads_a=loads_a,
         loads_b=loads_b,
         loads_c=loads_c,
         stores_c=stores_c,
-        blocks_executed=n_outer * n_middle * n_inner,
+        blocks_executed=n_rows * n_inner,
         max_resident_elems=max_resident,
     )
 

@@ -46,3 +46,38 @@ class TestValidation:
         path.write_text("id,M,K,N\n1,4,5,6\n")
         with pytest.raises(ValueError, match="expected columns"):
             load_benchmark(str(path))
+
+    @pytest.mark.parametrize("row, col, value", [
+        (2, "M", "40.9"),
+        (2, "K", "nan"),
+        (2, "N", "true"),
+        (2, "M", "4_0"),
+        (2, "M", " 40"),
+        (2, "N", "40 "),
+        (2, "K", "-5"),
+        (2, "M", "\u0664\u0660"),  # Arabic-Indic "40": int() accepts it
+        (1, "layer_id", ""),
+    ])
+    def test_non_digit_field_rejected(self, tmp_path, row, col, value):
+        rows = [{"layer_id": "1", "M": "4", "K": "5", "N": "6"},
+                {"layer_id": "2", "M": "40", "K": "40", "N": "40"}]
+        rows[row - 1][col] = value
+        path = tmp_path / "bad.csv"
+        path.write_text("layer_id,M,K,N\n" + "".join(
+            ",".join(r.values()) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(str(path))
+        assert str(exc.value) == (f"benchmark 'bad' layer row {row}, column {col}: "
+                                  f"expected a whole number in ASCII digits, got {value!r}")
+
+    def test_long_row_rejected(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("layer_id,M,K,N\n1,4,5,6\n2,40,40,40,99\n")
+        with pytest.raises(ValueError, match="'long' layer row 2: 4 fields expected, got 5"):
+            load_benchmark(str(path))
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("layer_id,M,K,N\n1,4,5\n")
+        with pytest.raises(ValueError, match="'short' layer row 1, column N: .* got None"):
+            load_benchmark(str(path))

@@ -255,6 +255,16 @@ class TestSweep:
         assert code == 1
         assert "unknown benchmark fixture" in err
 
+    @pytest.mark.parametrize("value", ["40.9", "nan", "true", "4_0", " 40"])
+    def test_bad_layer_field_is_one_error_line(self, capsys, tmp_path, value):
+        fixture = tmp_path / "bad.csv"
+        fixture.write_text(f"layer_id,M,K,N\n1,5,5,5\n2,{value},5,5\n")
+        code, out, err = run_cli(capsys, "sweep", "--hw", M4, "--fixture", str(fixture))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: benchmark 'bad' layer row 2, column M: expected a whole "
+                       f"number in ASCII digits, got {value!r}\n")
+
     def test_rows_ordered_by_layer_id(self, capsys, tmp_path):
         fixture = tmp_path / "layers.csv"
         fixture.write_text("layer_id,M,K,N\n2,10,10,10\n1,5,5,5\n")
@@ -338,6 +348,22 @@ class TestEmit:
         code, out, _ = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40")
         assert code == 0
         assert "mema_outer_5x5x5" in out
+
+    @pytest.mark.parametrize("policy,total,note", [
+        ("--pad", 7000, "note: padded to 65x5x35 for closed-form IO\n"),
+        ("--simulate", 6496, "note: exact ceiling-count IO (ragged edge tiles clamped)\n"),
+    ], ids=["pad", "simulate"])
+    def test_count_note_on_stderr_when_kernel_goes_to_stdout(self, capsys, tmp_path,
+                                                              policy, total, note):
+        desc_path = tmp_path / "d.json"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", policy,
+                                 "--descriptor-out", str(desc_path))
+        assert code == 0
+        assert err == note
+        assert ScheduleDescriptor.from_json(desc_path.read_text()).total_io_elems == total
+        kernel = tmp_path / "kernel.c"
+        run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", policy, "--out", str(kernel))
+        assert out == kernel.read_text()
 
 
 # Every option each subcommand accepts; each one is read by its handler.

@@ -100,6 +100,16 @@ class TestDescriptor:
         ("order", "M->M->K", "unknown loop order"),
         ("inner_class", "M-first", "order M->N->K is K-first"),
         ("stationary", "A", "order M->N->K is K-first with C stationary"),
+        ("M", -64, "M must be >= 1, got -64"),
+        ("n", 0, "n must be >= 1, got 0"),
+        ("element_bytes", 0, "element_bytes must be >= 1, got 0"),
+        ("per_class_total_elems", {"bogus": 28800}, "unknown per_class_total_elems classes"),
+        ("per_class_total_elems", {"K-first": 28800, "M-first": -3},
+         "per_class_total_elems M-first must be >= 0, got -3"),
+        ("per_class_total_elems", {"K-first": 12345, "M-first": 30000},
+         "per_class_total_elems K-first is 12345, but total_io_elems is 28800"),
+        ("per_class_total_elems", {"M-first": 30000},
+         "per_class_total_elems K-first is None, but total_io_elems is 28800"),
     ])
     def test_bad_field_rejected(self, key, value, match):
         raw = json.loads(cube40_descriptor().to_json())

@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from memtile.hardware import HardwareSpec
+from memtile import sim
+from memtile.benchmarks import benchmark_names
+from memtile.cli import main
+from memtile.hardware import HardwareSpec, fixture_hardware, fixture_names
 from memtile.io_model import (
     InnerClass,
     LoopOrder,
@@ -159,6 +163,96 @@ class TestRaggedOracle:
                 assert select_schedule(p, t, c_zero=c_zero) == schedule
                 assert io_for_class(p, t, schedule.inner_class, c_zero=c_zero).total_elems \
                     == rep.total_elems
+
+
+def walk_visits(visits, stationary, c_zero):
+    """Plain-Python reference count over ``sim._visits``, one visit at a time."""
+    loads_a = loads_b = loads_c = stores_c = blocks = max_resident = 0
+    for v in visits:
+        a, b, c = v.mi * v.ki, v.ki * v.ni, v.mi * v.ni
+        if stationary == "C":
+            loads_c += c if v.first_inner and not c_zero else 0
+            loads_a += a
+            loads_b += b
+            stores_c += c if v.last_inner else 0
+        else:
+            if stationary == "A":
+                loads_a += a if v.first_inner else 0
+                loads_b += b
+            else:
+                loads_b += b if v.first_inner else 0
+                loads_a += a
+            loads_c += 0 if c_zero and v.bk == 0 else c
+            stores_c += c
+        blocks += 1
+        max_resident = max(max_resident, a + b + c)
+    return sim.SimReport(loads_a, loads_b, loads_c, stores_c, blocks, max_resident)
+
+
+class TestVectorCounter:
+    """The numpy-stepped counter against a per-visit walk, zero tolerance."""
+
+    @staticmethod
+    def check(problem, tile, orders=tuple(LoopOrder)):
+        for order in orders:
+            schedule = Schedule(order, tile)
+            visits = list(sim._visits(problem, schedule))
+            for c_zero in (False, True):
+                assert sim._count_accesses(problem, schedule, c_zero) \
+                    == walk_visits(visits, schedule.stationary, c_zero), \
+                    (problem, tile, order, c_zero)
+
+    def test_random_ragged_problems(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            self.check(MMProblem(*(rng.randint(1, 30) for _ in range(3))),
+                       TileShape(*(rng.randint(1, 9) for _ in range(3))))
+
+    def test_shapes_spanning_several_steps(self):
+        # 3 x 43 x 130 blocks: two steps under every order, each cutting the
+        # rows at a different place.
+        assert 3 * 43 * 130 > sim._STEP_VISITS
+        self.check(MMProblem(6, 43, 389), TileShape(2, 1, 3))
+
+    @pytest.mark.parametrize("order", [LoopOrder.MKN, LoopOrder.MNK, LoopOrder.NKM])
+    def test_inner_loop_longer_than_a_step(self, order):
+        # The inner loop is split across three steps, and first and last
+        # come from the absolute inner index; MKN gives MMProblem(1, 1, 40_000).
+        assert 40_000 > 2 * sim._STEP_VISITS
+        dims = {d: 40_000 if d == order.inner_dim else 1 for d in "MKN"}
+        self.check(MMProblem(dims["M"], dims["K"], dims["N"]), TileShape(1, 1, 1),
+                   orders=(order,))
+
+    @pytest.mark.parametrize("problem, tile", [
+        (MMProblem(40, 3, 2**31), TileShape(3, 1, 2**30)),  # a dim beyond int32
+        (MMProblem(5, 2**33, 3), TileShape(2, 2**32, 2)),  # per-visit sizes beyond int32
+        (MMProblem(2**40, 2**40, 1), TileShape(2**40, 2**40, 1)),  # sizes beyond int64
+    ])
+    def test_counts_never_wrap(self, problem, tile):
+        self.check(problem, tile)
+
+    def test_narrowest_safe_dtype(self):
+        assert sim._step_dtype(2**31 - 1) is np.int32
+        assert sim._step_dtype(2**31) is np.int64
+        assert sim._step_dtype(2**63 // sim._STEP_VISITS) is object
+
+
+# cortex-m4-q15 x dlmc is left out: its 1.1e9 block visits take seconds.
+SWEEP_CELLS = [(device, table) for device in fixture_names() for table in benchmark_names()
+               if (device, table) != ("cortex-m4-q15", "dlmc")]
+
+
+@pytest.mark.parametrize("device, table", SWEEP_CELLS)
+def test_sweep_simulated_column_equals_exact_formula(capsys, device, table):
+    assert main(["sweep", "--hw", device, "--fixture", table, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows
+    element_bytes = fixture_hardware(device).element_bytes
+    for row in rows:
+        problem = MMProblem(row["M"], row["K"], row["N"], element_bytes)
+        tile = TileShape(row["m"], row["k"], row["n"])
+        inner_class = LoopOrder.parse(row["order"]).inner_class
+        assert row["io_simulated"] == io_for_class(problem, tile, inner_class).total_elems, row
 
 
 class TestBruteForce:
