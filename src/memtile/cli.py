@@ -1,4 +1,8 @@
-"""Command-line front end: derive, select, simulate, sweep, roofline, emit."""
+"""Command-line front end: derive, select, simulate, sweep, roofline, emit.
+
+Only ``simulate`` and ``sweep`` count accesses, so only they import the
+simulator, and with it numpy; the other commands start without it.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from .io_model import (
     pad_to_tiles,
     select_schedule,
 )
-from .sim import simulate_schedule
 from .tiling import TileShape, arithmetic_intensity_of_tile, derive_square_tile
 
 _CSV_COLUMNS = ["layer_id", "M", "K", "N", "order", "m", "k", "n",
@@ -112,6 +115,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import simulate_schedule
+
     problem = MMProblem(args.M, args.K, args.N)
     schedule = Schedule(LoopOrder.parse(args.order), TileShape(args.m, args.k, args.n))
     report = simulate_schedule(problem, schedule, c_zero=args.c_zero)
@@ -134,6 +139,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_rows(hw: HardwareSpec, fixture, c_zero: bool) -> list[dict]:
+    from .sim import simulate_schedule
+
     tile = _tile(hw)
     rows = []
     for layer in sorted(fixture.layers, key=lambda l: l.layer_id):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .hardware import HardwareSpec, _integer, _number, attainable_throughput
+from .hardware import HardwareSpec, _integer, _number, _string, attainable_throughput
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -115,7 +115,10 @@ class ScheduleDescriptor:
         is keyed by class names, holds no negative total, and its entry for
         ``inner_class`` equals ``total_io_elems``.
         """
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("schedule descriptor JSON nested too deeply to parse") from None
         if not isinstance(raw, dict):
             raise ValueError("schedule descriptor must be a JSON object")
         schema = raw.get("schema")
@@ -135,9 +138,7 @@ class ScheduleDescriptor:
             elif kind == "float":
                 values[name] = _number(raw, name)
             elif kind == "str":
-                if not isinstance(raw[name], str):
-                    raise ValueError(f"{name} must be a string, got {raw[name]!r}")
-                values[name] = raw[name]
+                values[name] = _string(raw, name)
         for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
             if values[name] < 1:
                 raise ValueError(f"{name} must be >= 1, got {values[name]}")

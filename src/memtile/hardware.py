@@ -103,7 +103,8 @@ def hardware_from_dict(raw: dict) -> HardwareSpec:
 
     The schema is strict: unknown keys are rejected rather than ignored, so
     a typo in a descriptor fails loudly instead of silently falling back to
-    a default. Bandwidth may be given in elements/s or bytes/s; bytes are
+    a default. ``name`` and ``notes`` must be strings, not converted to
+    them. Bandwidth may be given in elements/s or bytes/s; bytes are
     converted using element_bytes.
     """
     if not isinstance(raw, dict):
@@ -129,15 +130,23 @@ def hardware_from_dict(raw: dict) -> HardwareSpec:
         bandwidth = _number(raw, "ext_bandwidth_bytes_per_s") / element_bytes
 
     return HardwareSpec(
-        name=str(raw["name"]),
+        name=_string(raw, "name"),
         reuse_registers=_integer(raw, "reuse_registers"),
         local_memory_elems=_integer(raw, "local_memory_elems"),
         ext_bandwidth_elems_per_s=bandwidth,
         peak_flops_per_core=_number(raw, "peak_flops_per_core"),
         cores=_integer(raw, "cores"),
         element_bytes=element_bytes,
-        notes=str(raw.get("notes", "")),
+        notes=_string(raw, "notes") if "notes" in raw else "",
     )
+
+
+def _string(raw: dict, key: str) -> str:
+    """A JSON string; null, numbers and other values are rejected, not converted."""
+    value = raw[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _number(raw: dict, key: str) -> float:
@@ -171,6 +180,8 @@ def load_hardware(path: str | Path) -> HardwareSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     return hardware_from_dict(raw)
 
 

@@ -215,6 +215,21 @@ class TestRoofline:
         assert payload["arithmetic_intensity"] == payload["ridge_point"] == 2.5
         assert payload["classification"] == "compute-bound"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": null, "reuse_registers": 36, "local_memory_elems": 64, '
+         '"ext_bandwidth_elems_per_s": 40.0, "peak_flops_per_core": 100.0, '
+         '"cores": 1, "element_bytes": 4}', "name must be a string, got None"),
+        ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply to parse"),
+    ], ids=["null-name", "deep-nesting"])
+    def test_bad_hw_file_is_one_error_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "roofline", "--hw", str(path),
+                                 "-m", "4", "-n", "4", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
 
 class TestSweep:
     def test_mlperf_tiny_has_twenty_rows(self, capsys):

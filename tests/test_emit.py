@@ -86,6 +86,10 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="missing descriptor keys: \\['n'\\]"):
             ScheduleDescriptor.from_json(json.dumps(raw))
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            ScheduleDescriptor.from_json('{"schema": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
     @pytest.mark.parametrize("key, value, match", [
         ("M", 40.9, "M must be an integer"),
         ("M", True, "M must be a number"),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -144,6 +145,13 @@ class TestDescriptorLoading:
         with pytest.raises(ValueError, match=f"{key} must be .*{message}"):
             hardware_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("name", None), ("name", 7), ("name", ["dev"]), ("notes", None), ("notes", 1.5)])
+    def test_non_string_text_rejected(self, key, value):
+        raw = dict(self.BASE, **{key: value})
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a string, got {value!r}")):
+            hardware_from_dict(raw)
+
     def test_bad_byte_bandwidth_rejected(self):
         raw = dict(self.BASE)
         del raw["ext_bandwidth_elems_per_s"]
@@ -164,6 +172,12 @@ class TestDescriptorLoading:
         path = tmp_path / "dev.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
+            load_hardware(path)
+
+    def test_deeply_nested_json_reported(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
             load_hardware(path)
 
 
