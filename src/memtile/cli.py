@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .benchmarks import load_benchmark
-from .emit import emit_descriptor, emit_kernel_source
+from .emit import ELEMENT_TYPES, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import (
     DivisibilityError,
@@ -215,12 +215,15 @@ def cmd_roofline(args) -> int:
 
 def cmd_emit(args) -> int:
     hw = resolve_hardware(args.hw)
+    element_type = ELEMENT_TYPES.get(hw.element_bytes)
+    if element_type is None:
+        raise ValueError(f"no kernel element type for element_bytes {hw.element_bytes}; "
+                         f"expected one of {sorted(ELEMENT_TYPES)}")
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
     tile = _tile(hw, args.m, args.k, args.n)
     order = LoopOrder.parse(args.order) if args.order else None
     schedule, io_rep, per_class, note = _choose(
         problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate, order=order)
-    element_type = "f32" if args.dtype == "f32" else "i16-q15-scalar"
     source = emit_kernel_source(schedule, element_type)
     if args.out:
         Path(args.out).write_text(source, encoding="utf-8")
@@ -318,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dims(p)
     _add_tile(p, required=False)
     p.add_argument("--order", help="force a loop order instead of selecting one")
-    p.add_argument("--dtype", choices=("f32", "q15"), default="f32")
     p.add_argument("--descriptor-out", metavar="FILE",
                    help="also write the descriptor JSON here")
     _add_flags(p, "--hw", "--out", "--c-zero")

@@ -25,57 +25,8 @@ from .tiling import TileShape
 
 SCHEMA_VERSION = "v1"
 
-ELEMENT_TYPES = ("f32", "i16-q15-scalar")
-
-
-@dataclass(frozen=True)
-class LoopSpec:
-    """One loop: dimension name, iteration bound, and step."""
-
-    dim: str
-    bound: int
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.dim not in ("M", "K", "N"):
-            raise ValueError(f"loop dim must be M, K or N, got {self.dim!r}")
-        if self.bound < 1 or self.step < 1:
-            raise ValueError("loop bound and step must be >= 1")
-
-
-@dataclass(frozen=True)
-class KernelIR:
-    """Blocked-MM loop nest: three block loops then three intra-block loops.
-
-    The body is always the rank-1 update C[i][j] += A[i][k] * B[k][j];
-    intra-block extents are clamped against the block loop bounds when the
-    nest is executed or printed, so ragged edges need no special casing.
-    """
-
-    loops: tuple[LoopSpec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.loops) != 6:
-            raise ValueError("kernel IR must have exactly 6 loops (3 block + 3 intra)")
-        block_dims = sorted(l.dim for l in self.loops[:3])
-        intra_dims = sorted(l.dim for l in self.loops[3:])
-        if block_dims != ["K", "M", "N"] or intra_dims != ["K", "M", "N"]:
-            raise ValueError("block and intra loops must each cover M, K and N once")
-        for blk in self.loops[:3]:
-            intra = next(l for l in self.loops[3:] if l.dim == blk.dim)
-            if intra.bound != blk.step or intra.step != 1:
-                raise ValueError(
-                    f"intra loop over {blk.dim} must have bound == block step and step 1")
-
-
-def build_kernel_ir(problem: MMProblem, schedule: Schedule) -> KernelIR:
-    """Concrete loop nest for one problem: block loops in schedule order."""
-    t = schedule.tile
-    bounds = {"M": problem.M, "K": problem.K, "N": problem.N}
-    steps = {"M": t.m, "K": t.k, "N": t.n}
-    block = [LoopSpec(d, bounds[d], steps[d]) for d in schedule.order.dims]
-    intra = [LoopSpec(d, steps[d], 1) for d in ("K", "N", "M")]
-    return KernelIR(loops=tuple(block + intra))
+# Kernel element type for each device element width in bytes.
+ELEMENT_TYPES = {4: "f32", 2: "i16-q15-scalar"}
 
 
 @dataclass(frozen=True)
@@ -238,9 +189,9 @@ def emit_kernel_source(schedule: Schedule, element_type: str = "f32") -> str:
         void <name>(const T *a, const T *b, T *c, int dim_m, int dim_k, int dim_n)
     with row-major operands, computing C += A * B for any positive dims.
     """
-    if element_type not in ELEMENT_TYPES:
-        raise ValueError(
-            f"unsupported element type {element_type!r}; expected one of {ELEMENT_TYPES}")
+    if element_type not in ELEMENT_TYPES.values():
+        raise ValueError(f"unsupported element type {element_type!r}; "
+                         f"expected one of {tuple(ELEMENT_TYPES.values())}")
     t = schedule.tile
     name = kernel_name(t, element_type)
     ctype = "float" if element_type == "f32" else "int16_t"

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
-from .emit import KernelIR
 from .hardware import HardwareSpec
 from .io_model import (
     CANONICAL_ORDER,
@@ -91,62 +91,25 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class _Visit:
-    bi: int
-    bk: int
-    bj: int
-    mi: int
-    ki: int
-    ni: int
-    first_inner: bool
-    last_inner: bool
-
-
-def _visits(problem: MMProblem, schedule: Schedule) -> Iterator[_Visit]:
-    """Yield block visits in schedule order with clamped tile extents."""
-    t = schedule.tile
-    counts = {
-        "M": _ceil_div(problem.M, t.m),
-        "K": _ceil_div(problem.K, t.k),
-        "N": _ceil_div(problem.N, t.n),
-    }
-    outer, middle, inner = schedule.order.dims
-    n_inner = counts[inner]
-    for i0 in range(counts[outer]):
-        for i1 in range(counts[middle]):
-            for i2 in range(n_inner):
-                idx = {outer: i0, middle: i1, inner: i2}
-                bi, bk, bj = idx["M"], idx["K"], idx["N"]
-                yield _Visit(
-                    bi=bi, bk=bk, bj=bj,
-                    mi=min(t.m, problem.M - bi * t.m),
-                    ki=min(t.k, problem.K - bk * t.k),
-                    ni=min(t.n, problem.N - bj * t.n),
-                    first_inner=i2 == 0,
-                    last_inner=i2 == n_inner - 1,
-                )
-
-
-def _accumulate_block(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      v: _Visit, t: TileShape) -> None:
-    # Rank-1 updates in ascending k order; matches the kernel-IR interpreter
-    # step for step so float results agree bitwise, not just to tolerance.
-    r0 = v.bi * t.m
-    k0 = v.bk * t.k
-    c0 = v.bj * t.n
-    a_blk = a[r0:r0 + v.mi, k0:k0 + v.ki]
-    b_blk = b[k0:k0 + v.ki, c0:c0 + v.ni]
-    for kk in range(v.ki):
-        out[r0:r0 + v.mi, c0:c0 + v.ni] += np.outer(a_blk[:, kk], b_blk[kk, :])
-
-
 def _execute(problem: MMProblem, schedule: Schedule,
              operands: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    # Block origins in schedule order; slicing clamps the edge blocks. Each
+    # block is rank-1 updates in ascending k, as in the emitted kernel, so
+    # results agree bitwise with interpret_kernel, not just to tolerance.
     a, b, c = (np.asarray(x) for x in operands)
     out = np.array(c, copy=True)
-    for v in _visits(problem, schedule):
-        _accumulate_block(out, a, b, v, schedule.tile)
+    t = schedule.tile
+    size = {"M": problem.M, "K": problem.K, "N": problem.N}
+    step = {"M": t.m, "K": t.k, "N": t.n}
+    dims = schedule.order.dims
+    mkn = itemgetter(*(dims.index(d) for d in "MKN"))
+    for origin in product(*(range(0, size[d], step[d]) for d in dims)):
+        m0, k0, n0 = mkn(origin)
+        a_blk = a[m0:m0 + t.m, k0:k0 + t.k]
+        b_blk = b[k0:k0 + t.k, n0:n0 + t.n]
+        c_blk = out[m0:m0 + t.m, n0:n0 + t.n]
+        for kk in range(a_blk.shape[1]):
+            c_blk += np.outer(a_blk[:, kk], b_blk[kk, :])
     return out
 
 
@@ -261,10 +224,8 @@ def run_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
         raise ValueError("operands must be 2-D matrices")
-    if a.shape[1] != b.shape[0] or c.shape != (a.shape[0], b.shape[1]):
-        raise ValueError(
-            f"inconsistent operand shapes: A {a.shape}, B {b.shape}, C {c.shape}")
     problem = MMProblem(a.shape[0], a.shape[1], b.shape[1])
+    _check_operand_dims(problem, a, b, c)
     return _execute(problem, schedule, (a, b, c))
 
 
@@ -340,34 +301,35 @@ def measure_cake_bw(p_cores: int, block: CBBlock, hw: HardwareSpec) -> float:
     return float(Fraction(io) / time)
 
 
-def interpret_kernel(ir: KernelIR, a: np.ndarray, b: np.ndarray,
+def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: np.ndarray,
                      c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Execute a kernel IR loop nest directly and count MAC statements.
+    """Run the loop nest emit_kernel_source prints, one MAC at a time.
 
-    Walks the six recorded loops (three block loops, three intra-block
-    loops) rather than re-deriving the nest from a schedule, so it serves
-    as an independent check on emitted kernels. Returns (result, macs).
+    Block loops in schedule order, each with its clamped extent, then the
+    kk, j, i loops of the scalar body. It has its own loops, not
+    _execute's, so it is the reference blocked execution is checked
+    against. Returns (C + A*B, number of MAC statements executed).
     """
+    _check_operand_dims(problem, a, b, c)
     a, b = np.asarray(a), np.asarray(b)
     out = np.array(c, copy=True)
-    blk0, blk1, blk2 = ir.loops[:3]
-    in0, in1, in2 = ir.loops[3:]
-    dim_bounds = {l.dim: l.bound for l in ir.loops[:3]}
+    t = schedule.tile
+    bound = {"M": problem.M, "K": problem.K, "N": problem.N}
+    step = {"M": t.m, "K": t.k, "N": t.n}
+    d0, d1, d2 = schedule.order.dims
+    origin = {}  # each block loop writes its own dim's origin here
     macs = 0
-    for v0 in range(0, blk0.bound, blk0.step):
-        for v1 in range(0, blk1.bound, blk1.step):
-            for v2 in range(0, blk2.bound, blk2.step):
-                base = {blk0.dim: v0, blk1.dim: v1, blk2.dim: v2}
-                ext0 = min(in0.bound, dim_bounds[in0.dim] - base[in0.dim])
-                ext1 = min(in1.bound, dim_bounds[in1.dim] - base[in1.dim])
-                ext2 = min(in2.bound, dim_bounds[in2.dim] - base[in2.dim])
-                for w0 in range(ext0):
-                    for w1 in range(ext1):
-                        for w2 in range(ext2):
-                            off = {in0.dim: w0, in1.dim: w1, in2.dim: w2}
-                            i = base["M"] + off["M"]
-                            kk = base["K"] + off["K"]
-                            j = base["N"] + off["N"]
-                            out[i, j] = out[i, j] + a[i, kk] * b[kk, j]
+    for origin[d0] in range(0, bound[d0], step[d0]):
+        for origin[d1] in range(0, bound[d1], step[d1]):
+            for origin[d2] in range(0, bound[d2], step[d2]):
+                m0, k0, n0 = origin["M"], origin["K"], origin["N"]
+                mb = min(t.m, problem.M - m0)
+                kb = min(t.k, problem.K - k0)
+                nb = min(t.n, problem.N - n0)
+                for kk in range(kb):
+                    for j in range(nb):
+                        for i in range(mb):
+                            out[m0 + i, n0 + j] = (out[m0 + i, n0 + j]
+                                                   + a[m0 + i, k0 + kk] * b[k0 + kk, n0 + j])
                             macs += 1
     return out, macs

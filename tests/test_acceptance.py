@@ -4,8 +4,8 @@ Each test prints a single PASS/FAIL line (visible with pytest -s, or in
 the captured output of a failure). Expected values are either fixed
 points of the model reproduced by independent oracles in this file, or
 exact equalities between two independently implemented routes
-(closed-form accounting vs. the access-counting simulator, emitted IR
-vs. blocked execution).
+(closed-form accounting vs. the access-counting simulator, the kernel
+interpreter vs. blocked execution).
 """
 
 import itertools
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from memtile.emit import ScheduleDescriptor, build_kernel_ir, emit_descriptor
+from memtile.emit import ScheduleDescriptor, emit_descriptor
 from memtile.hardware import HardwareSpec
 from memtile.io_model import (
     CANONICAL_ORDER,
@@ -258,9 +258,9 @@ def test_criterion_7_streaming_hiding_threshold():
     report(7, "streaming-hiding threshold", ok)
     assert ok
 
-
+    """Descriptors re-emit byte-identically; interpret_kernel reproduces blocked execution."""
 def test_criterion_8_emission_round_trip():
-    """Descriptors re-emit byte-identically; the IR reproduces blocked execution."""
+    """Descriptors re-emit byte-identically; the kernel interpreter reproduces blocked execution."""
     hw = HardwareSpec("emit", 36, 4096, 64e6, 64e6)
     problem = MMProblem(40, 40, 40)
     schedule = select_schedule(problem, T5)
@@ -281,10 +281,10 @@ def test_criterion_8_emission_round_trip():
         a = rng.integers(-30, 30, (M, K)).astype(np.int64)
         b = rng.integers(-30, 30, (K, N)).astype(np.int64)
         c = rng.integers(-30, 30, (M, N)).astype(np.int64)
-        via_ir, macs = interpret_kernel(build_kernel_ir(prob, sched), a, b, c)
-        ok &= np.array_equal(via_ir, run_functional(a, b, c, sched))
+        via_kernel, macs = interpret_kernel(prob, sched, a, b, c)
+        ok &= np.array_equal(via_kernel, run_functional(a, b, c, sched))
         ok &= macs == prob.macs
-    report(8, "emission round trip and IR fidelity", ok)
+    report(8, "emission round trip and interpreter fidelity", ok)
     assert ok
 
 

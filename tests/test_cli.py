@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -310,12 +311,25 @@ class TestEmit:
     def test_q15_dtype(self, capsys, tmp_path):
         kernel = tmp_path / "kernel.c"
         code, _, _ = run_cli(capsys, "emit", "--hw", "cortex-m4-q15", "40", "40", "40",
-                             "-m", "4", "-k", "2", "-n", "2", "--dtype", "q15",
-                             "--out", str(kernel))
+                             "-m", "4", "-k", "2", "-n", "2", "--out", str(kernel))
         assert code == 0
         src = kernel.read_text()
         assert "mema_outer_4x2x2_q15" in src
         assert "mema_q15_mac" in src
+
+    @pytest.mark.parametrize("element_bytes", [1, 8])
+    def test_element_width_without_kernel_type_rejected(self, capsys, tmp_path, element_bytes):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps({**asdict(fixture_hardware(M4)),
+                                    "element_bytes": element_bytes}))
+        kernel = tmp_path / "kernel.c"
+        code, out, err = run_cli(capsys, "emit", "--hw", str(path), "40", "40", "40",
+                                 "--out", str(kernel))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: no kernel element type for element_bytes {element_bytes}; "
+                       "expected one of [2, 4]\n")
+        assert not kernel.exists()
 
     def test_forced_order(self, capsys, tmp_path):
         kernel = tmp_path / "kernel.c"
@@ -390,7 +404,7 @@ OPTIONS = {
     "sweep": {"--hw", "--out", "--format", "--c-zero", "--fixture"},
     "roofline": {"--hw", "--out", "--format", "-m", "-n"},
     "emit": {"--hw", "--out", "--pad", "--simulate", "--c-zero", "-m", "-k", "-n",
-             "--order", "--dtype", "--descriptor-out"},
+             "--order", "--descriptor-out"},
 }
 
 VALID = {
@@ -422,7 +436,7 @@ class TestFlags:
         ("simulate", ["--hw", M4]), ("simulate", ["--pad"]), ("simulate", ["--simulate"]),
         ("sweep", ["--pad"]), ("sweep", ["--simulate"]),
         ("roofline", ["--pad"]), ("roofline", ["--simulate"]), ("roofline", ["--c-zero"]),
-        ("emit", ["--format", "json"]),
+        ("emit", ["--format", "json"]), ("emit", ["--dtype", "q15"]),
     ])
     def test_flag_the_subcommand_ignores_is_a_usage_error(self, capsys, command, flag):
         assert usage_error(VALID[command] + flag) == 2

@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from memtile.emit import (
-    KernelIR,
-    LoopSpec,
     ScheduleDescriptor,
-    build_kernel_ir,
     emit_descriptor,
     emit_kernel_source,
     kernel_name,
@@ -122,44 +119,19 @@ class TestDescriptor:
             ScheduleDescriptor.from_json(json.dumps(raw))
 
 
-class TestKernelIR:
-    def test_six_loops_with_matching_steps(self):
-        ir = build_kernel_ir(MMProblem(40, 20, 30), Schedule(LoopOrder.MNK, TileShape(5, 4, 3)))
-        assert len(ir.loops) == 6
-        assert [l.dim for l in ir.loops[:3]] == ["M", "N", "K"]
-        assert [(l.bound, l.step) for l in ir.loops[:3]] == [(40, 5), (30, 3), (20, 4)]
-        assert {l.dim: l.bound for l in ir.loops[3:]} == {"K": 4, "N": 3, "M": 5}
-
-    def test_rejects_wrong_loop_count(self):
-        with pytest.raises(ValueError):
-            KernelIR(loops=(LoopSpec("M", 4, 2),) * 3)
-
-    def test_rejects_mismatched_intra_bound(self):
-        block = (LoopSpec("M", 8, 2), LoopSpec("N", 8, 2), LoopSpec("K", 8, 2))
-        intra = (LoopSpec("K", 3, 1), LoopSpec("N", 2, 1), LoopSpec("M", 2, 1))
-        with pytest.raises(ValueError):
-            KernelIR(loops=block + intra)
-
+class TestInterpreter:
     def test_mac_count_equals_volume(self):
         problem = MMProblem(12, 8, 10)
         schedule = Schedule(LoopOrder.KNM, TileShape(4, 2, 5))
-        ir = build_kernel_ir(problem, schedule)
         a = np.ones((12, 8), dtype=np.int64)
         b = np.ones((8, 10), dtype=np.int64)
-        _, macs = interpret_kernel(ir, a, b, np.zeros((12, 10), dtype=np.int64))
+        _, macs = interpret_kernel(problem, schedule, a, b, np.zeros((12, 10), dtype=np.int64))
         assert macs == problem.macs
-        bound_product = 1
-        for blk in ir.loops[:3]:
-            bound_product *= blk.bound // blk.step
-        for intra in ir.loops[3:]:
-            bound_product *= intra.bound
-        assert bound_product == problem.macs
 
     def test_interpreter_identity(self):
         b = np.arange(42, dtype=np.int64).reshape(6, 7)
-        ir = build_kernel_ir(MMProblem(6, 6, 7), Schedule(LoopOrder.MNK, TileShape(4, 4, 4)))
-        out, _ = interpret_kernel(ir, np.eye(6, dtype=np.int64), b,
-                                  np.zeros((6, 7), dtype=np.int64))
+        out, _ = interpret_kernel(MMProblem(6, 6, 7), Schedule(LoopOrder.MNK, TileShape(4, 4, 4)),
+                                  np.eye(6, dtype=np.int64), b, np.zeros((6, 7), dtype=np.int64))
         assert np.array_equal(out, b)
 
     def test_interpreter_matches_blocked_execution(self):
@@ -173,9 +145,16 @@ class TestKernelIR:
             a = rng.integers(-30, 30, (M, K)).astype(np.int64)
             b = rng.integers(-30, 30, (K, N)).astype(np.int64)
             c = rng.integers(-30, 30, (M, N)).astype(np.int64)
-            via_ir, _ = interpret_kernel(build_kernel_ir(problem, schedule), a, b, c)
-            assert np.array_equal(via_ir, run_functional(a, b, c, schedule))
-            assert np.array_equal(via_ir, c + a @ b)
+            via_kernel, _ = interpret_kernel(problem, schedule, a, b, c)
+            assert np.array_equal(via_kernel, run_functional(a, b, c, schedule))
+            assert np.array_equal(via_kernel, c + a @ b)
+
+    @pytest.mark.parametrize("side", [6, 3])
+    def test_operands_must_match_problem(self, side):
+        square = np.zeros((side, side))
+        with pytest.raises(ValueError, match="do not match problem 4x4x4"):
+            interpret_kernel(MMProblem(4, 4, 4), Schedule(LoopOrder.MNK, TileShape(2, 2, 2)),
+                             square, square, square)
 
 
 class TestKernelSource:
@@ -208,29 +187,45 @@ def _compile_kernel(tmp_path, source, name):
     src = tmp_path / f"{name}.c"
     lib = tmp_path / f"{name}.so"
     src.write_text(source)
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(src)],
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic", "-O2",
+                    "-shared", "-fPIC", "-o", str(lib), str(src)],
                    check=True, capture_output=True)
     return ctypes.CDLL(str(lib))
+
+
+def _run_each_order(tmp_path, element_type, ctype, operands):
+    """Compile the kernel of every loop order and run it on each (A, B, C).
+
+    Yields (schedule, A, B, C, C + A*B as the compiled kernel computed it).
+    """
+    pointer = ctypes.POINTER(ctype)
+    for number, order in enumerate(LoopOrder):
+        schedule = Schedule(order, TileShape(4, 3, 2))
+        lib = _compile_kernel(tmp_path, emit_kernel_source(schedule, element_type),
+                              f"k{number}_{element_type}")
+        fn = getattr(lib, kernel_name(schedule.tile, element_type))
+        fn.argtypes = [pointer] * 3 + [ctypes.c_int] * 3
+        fn.restype = None
+        for a, b, c in operands:
+            out = c.copy()
+            fn(a.ctypes.data_as(pointer), b.ctypes.data_as(pointer),
+               out.ctypes.data_as(pointer), *a.shape, b.shape[1])
+            yield schedule, a, b, c, out
+
+
+RAGGED = ((8, 6, 4), (7, 9, 11), (1, 1, 1), (13, 2, 5))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 class TestCompiledKernel:
     def test_f32_kernel_matches_naive(self, tmp_path):
-        schedule = Schedule(LoopOrder.NKM, TileShape(4, 3, 2))
-        lib = _compile_kernel(tmp_path, emit_kernel_source(schedule), "k_f32")
-        fn = getattr(lib, kernel_name(schedule.tile))
-        fn.argtypes = [ctypes.POINTER(ctypes.c_float)] * 3 + [ctypes.c_int] * 3
         rng = np.random.default_rng(53)
-        for M, K, N in ((8, 6, 4), (7, 9, 11), (1, 1, 1), (13, 2, 5)):
-            a = rng.integers(-8, 8, (M, K)).astype(np.float32)
-            b = rng.integers(-8, 8, (K, N)).astype(np.float32)
-            c = rng.integers(-8, 8, (M, N)).astype(np.float32)
-            out = c.copy()
-            fn(a.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-               b.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-               out.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-               M, K, N)
+        operands = [tuple(rng.integers(-8, 8, shape).astype(np.float32)
+                          for shape in ((M, K), (K, N), (M, N))) for M, K, N in RAGGED]
+        for schedule, a, b, c, out in _run_each_order(tmp_path, "f32", ctypes.c_float, operands):
+            problem = MMProblem(a.shape[0], a.shape[1], b.shape[1])
             # small integers stay exact in float32
+            assert np.array_equal(out, interpret_kernel(problem, schedule, a, b, c)[0])
             assert np.array_equal(out, c + a @ b)
 
     def test_q15_kernel_matches_reference_semantics(self, tmp_path):
@@ -238,26 +233,19 @@ class TestCompiledKernel:
             q15 = (x * y + (1 << 14)) >> 15
             return max(-32768, min(32767, acc + q15))
 
-        schedule = Schedule(LoopOrder.MNK, TileShape(4, 2, 2))
-        lib = _compile_kernel(tmp_path, emit_kernel_source(schedule, "i16-q15-scalar"), "k_q15")
-        fn = getattr(lib, kernel_name(schedule.tile, "i16-q15-scalar"))
-        fn.argtypes = [ctypes.POINTER(ctypes.c_int16)] * 3 + [ctypes.c_int] * 3
         rng = np.random.default_rng(59)
-        M, K, N = 9, 6, 7
-        a = rng.integers(-32768, 32768, (M, K)).astype(np.int16)
-        b = rng.integers(-32768, 32768, (K, N)).astype(np.int16)
-        c = rng.integers(-32768, 32768, (M, N)).astype(np.int16)
-        out = c.copy()
-        fn(a.ctypes.data_as(ctypes.POINTER(ctypes.c_int16)),
-           b.ctypes.data_as(ctypes.POINTER(ctypes.c_int16)),
-           out.ctypes.data_as(ctypes.POINTER(ctypes.c_int16)),
-           M, K, N)
-        # per C element, contributions arrive in ascending k regardless of order
-        expected = np.empty((M, N), dtype=np.int64)
-        for i in range(M):
-            for j in range(N):
-                acc = int(c[i, j])
-                for kk in range(K):
-                    acc = q15_mac(acc, int(a[i, kk]), int(b[kk, j]))
-                expected[i, j] = acc
-        assert np.array_equal(out.astype(np.int64), expected)
+        operands = [tuple(rng.integers(-32768, 32768, shape).astype(np.int16)
+                          for shape in ((M, K), (K, N), (M, N)))
+                    for M, K, N in ((9, 6, 7), *RAGGED)]
+        for _, a, b, c, out in _run_each_order(tmp_path, "i16-q15-scalar", ctypes.c_int16,
+                                               operands):
+            # per C element, contributions arrive in ascending k regardless of order
+            (M, K), N = a.shape, b.shape[1]
+            expected = np.empty((M, N), dtype=np.int64)
+            for i in range(M):
+                for j in range(N):
+                    acc = int(c[i, j])
+                    for kk in range(K):
+                        acc = q15_mac(acc, int(a[i, kk]), int(b[kk, j]))
+                    expected[i, j] = acc
+            assert np.array_equal(out.astype(np.int64), expected)

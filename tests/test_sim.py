@@ -165,27 +165,38 @@ class TestRaggedOracle:
                     == rep.total_elems
 
 
-def walk_visits(visits, stationary, c_zero):
-    """Plain-Python reference count over ``sim._visits``, one visit at a time."""
+def walk_visits(problem, schedule, c_zero):
+    """Plain-Python reference count, one block visit at a time in schedule order."""
+    t = schedule.tile
+    size = {"M": problem.M, "K": problem.K, "N": problem.N}
+    step = {"M": t.m, "K": t.k, "N": t.n}
+    counts = {d: -(-size[d] // step[d]) for d in size}
+    outer, middle, inner = schedule.order.dims
+    stationary = schedule.stationary
     loads_a = loads_b = loads_c = stores_c = blocks = max_resident = 0
-    for v in visits:
-        a, b, c = v.mi * v.ki, v.ki * v.ni, v.mi * v.ni
-        if stationary == "C":
-            loads_c += c if v.first_inner and not c_zero else 0
-            loads_a += a
-            loads_b += b
-            stores_c += c if v.last_inner else 0
-        else:
-            if stationary == "A":
-                loads_a += a if v.first_inner else 0
-                loads_b += b
-            else:
-                loads_b += b if v.first_inner else 0
-                loads_a += a
-            loads_c += 0 if c_zero and v.bk == 0 else c
-            stores_c += c
-        blocks += 1
-        max_resident = max(max_resident, a + b + c)
+    for i0 in range(counts[outer]):
+        for i1 in range(counts[middle]):
+            for i2 in range(counts[inner]):
+                idx = {outer: i0, middle: i1, inner: i2}
+                mi, ki, ni = (min(step[d], size[d] - step[d] * idx[d]) for d in "MKN")
+                first, last = i2 == 0, i2 == counts[inner] - 1
+                a, b, c = mi * ki, ki * ni, mi * ni
+                if stationary == "C":
+                    loads_c += c if first and not c_zero else 0
+                    loads_a += a
+                    loads_b += b
+                    stores_c += c if last else 0
+                else:
+                    if stationary == "A":
+                        loads_a += a if first else 0
+                        loads_b += b
+                    else:
+                        loads_b += b if first else 0
+                        loads_a += a
+                    loads_c += 0 if c_zero and idx["K"] == 0 else c
+                    stores_c += c
+                blocks += 1
+                max_resident = max(max_resident, a + b + c)
     return sim.SimReport(loads_a, loads_b, loads_c, stores_c, blocks, max_resident)
 
 
@@ -196,11 +207,9 @@ class TestVectorCounter:
     def check(problem, tile, orders=tuple(LoopOrder)):
         for order in orders:
             schedule = Schedule(order, tile)
-            visits = list(sim._visits(problem, schedule))
             for c_zero in (False, True):
                 assert sim._count_accesses(problem, schedule, c_zero) \
-                    == walk_visits(visits, schedule.stationary, c_zero), \
-                    (problem, tile, order, c_zero)
+                    == walk_visits(problem, schedule, c_zero), (problem, tile, order, c_zero)
 
     def test_random_ragged_problems(self):
         rng = random.Random(99)
