@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .benchmarks import load_benchmark
-from .emit import ELEMENT_TYPES, emit_descriptor, emit_kernel_source
+from .emit import element_type, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import (
     DivisibilityError,
@@ -215,16 +215,13 @@ def cmd_roofline(args) -> int:
 
 def cmd_emit(args) -> int:
     hw = resolve_hardware(args.hw)
-    element_type = ELEMENT_TYPES.get(hw.element_bytes)
-    if element_type is None:
-        raise ValueError(f"no kernel element type for element_bytes {hw.element_bytes}; "
-                         f"expected one of {sorted(ELEMENT_TYPES)}")
+    kernel_type = element_type(hw.element_bytes)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
     tile = _tile(hw, args.m, args.k, args.n)
     order = LoopOrder.parse(args.order) if args.order else None
     schedule, io_rep, per_class, note = _choose(
         problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate, order=order)
-    source = emit_kernel_source(schedule, element_type)
+    source = emit_kernel_source(schedule, kernel_type)
     if args.out:
         Path(args.out).write_text(source, encoding="utf-8")
     else:

@@ -29,6 +29,15 @@ SCHEMA_VERSION = "v1"
 ELEMENT_TYPES = {4: "f32", 2: "i16-q15-scalar"}
 
 
+def element_type(element_bytes: int) -> str:
+    """The kernel element type for a device element width; ValueError if none."""
+    try:
+        return ELEMENT_TYPES[element_bytes]
+    except KeyError:
+        raise ValueError(f"no kernel element type for element_bytes {element_bytes}; "
+                         f"expected one of {sorted(ELEMENT_TYPES)}") from None
+
+
 @dataclass(frozen=True)
 class ScheduleDescriptor:
     """Flat, versioned record of a derived schedule; the "v1" JSON schema."""

@@ -54,14 +54,6 @@ class HardwareSpec:
         return self.cores * self.peak_flops_per_core
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One evaluated point: intensity in MACs per element of external IO."""
-
-    arithmetic_intensity: float
-    attainable_throughput: float
-
-
 def ridge_point(hw: HardwareSpec) -> float:
     """Minimum arithmetic intensity (MACs/element) at which peak throughput is reachable."""
     return hw.peak_flops_total / hw.ext_bandwidth_elems_per_s
@@ -80,10 +72,6 @@ def attainable_throughput(hw: HardwareSpec, ai: float) -> float:
     if ai >= ridge_point(hw):
         return peak
     return min(ai * hw.ext_bandwidth_elems_per_s, peak)
-
-
-def roofline_point(hw: HardwareSpec, ai: float) -> RooflinePoint:
-    return RooflinePoint(ai, attainable_throughput(hw, ai))
 
 
 _REQUIRED_KEYS = {

@@ -25,17 +25,19 @@ those formulas are tested against, never derived from them.
 
 A row-stationary variant that keeps whole output rows resident is the
 m = 1 special case of the K-first schedule and is not modeled separately.
+
+The simulator only counts; it computes no product. interpret_kernel runs
+the emitted kernel's loop nest and is the one functional executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter
 
 import numpy as np
 
+from .emit import element_type
 from .hardware import HardwareSpec
 from .io_model import (
     CANONICAL_ORDER,
@@ -59,7 +61,6 @@ class SimReport:
     stores_c: int
     blocks_executed: int
     max_resident_elems: int
-    checksum: float | None = None
 
     @property
     def total_elems(self) -> int:
@@ -74,7 +75,6 @@ class SimReport:
             "total_elems": self.total_elems,
             "blocks_executed": self.blocks_executed,
             "max_resident_elems": self.max_resident_elems,
-            "checksum": self.checksum,
         }
 
 
@@ -89,28 +89,6 @@ class StreamTimingReport:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _execute(problem: MMProblem, schedule: Schedule,
-             operands: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    # Block origins in schedule order; slicing clamps the edge blocks. Each
-    # block is rank-1 updates in ascending k, as in the emitted kernel, so
-    # results agree bitwise with interpret_kernel, not just to tolerance.
-    a, b, c = (np.asarray(x) for x in operands)
-    out = np.array(c, copy=True)
-    t = schedule.tile
-    size = {"M": problem.M, "K": problem.K, "N": problem.N}
-    step = {"M": t.m, "K": t.k, "N": t.n}
-    dims = schedule.order.dims
-    mkn = itemgetter(*(dims.index(d) for d in "MKN"))
-    for origin in product(*(range(0, size[d], step[d]) for d in dims)):
-        m0, k0, n0 = mkn(origin)
-        a_blk = a[m0:m0 + t.m, k0:k0 + t.k]
-        b_blk = b[k0:k0 + t.k, n0:n0 + t.n]
-        c_blk = out[m0:m0 + t.m, n0:n0 + t.n]
-        for kk in range(a_blk.shape[1]):
-            c_blk += np.outer(a_blk[:, kk], b_blk[kk, :])
-    return out
 
 
 # Block visits per vector step: bounds a step's arrays for every shape.
@@ -189,44 +167,13 @@ def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> Sim
 
 
 def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = False,
-                      operands: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                       ) -> SimReport:
     """Count every external element access for one schedule.
 
-    Ragged problems are fine; edge tiles are clamped. When ``operands``
-    (A, B, C) are supplied the product is also computed in schedule order
-    and reported as a checksum, for functional cross-checking.
+    Ragged problems are fine; edge tiles are clamped. Only accesses are
+    counted; interpret_kernel computes the product.
     """
-    report = _count_accesses(problem, schedule, c_zero)
-    if operands is not None:
-        _check_operand_dims(problem, *operands)
-        out = _execute(problem, schedule, operands)
-        report = replace(report, checksum=float(out.sum()))
-    return report
-
-
-def _check_operand_dims(problem: MMProblem, a, b, c) -> None:
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.shape != (problem.M, problem.K) or b.shape != (problem.K, problem.N) \
-            or c.shape != (problem.M, problem.N):
-        raise ValueError(
-            f"operand shapes {a.shape}/{b.shape}/{c.shape} do not match problem "
-            f"{problem.M}x{problem.K}x{problem.N}")
-
-
-def run_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   schedule: Schedule) -> np.ndarray:
-    """Execute the blocked multiplication and return C + A*B.
-
-    The result is independent of loop order up to floating-point
-    reassociation; integer inputs reproduce the naive triple loop exactly.
-    """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
-        raise ValueError("operands must be 2-D matrices")
-    problem = MMProblem(a.shape[0], a.shape[1], b.shape[1])
-    _check_operand_dims(problem, a, b, c)
-    return _execute(problem, schedule, (a, b, c))
+    return _count_accesses(problem, schedule, c_zero)
 
 
 def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = False,
@@ -301,15 +248,40 @@ def measure_cake_bw(p_cores: int, block: CBBlock, hw: HardwareSpec) -> float:
     return float(Fraction(io) / time)
 
 
+def _check_operand_dims(problem: MMProblem, a, b, c) -> None:
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    if a.shape != (problem.M, problem.K) or b.shape != (problem.K, problem.N) \
+            or c.shape != (problem.M, problem.N):
+        raise ValueError(
+            f"operand shapes {a.shape}/{b.shape}/{c.shape} do not match problem "
+            f"{problem.M}x{problem.K}x{problem.N}")
+
+
+def _f32_mac(acc, x, y):
+    return acc + x * y
+
+
+def _q15_mac(acc, x, y):
+    # mema_q15_mac: round the Q15 product to nearest, then saturate the sum.
+    q15 = (int(x) * int(y) + (1 << 14)) >> 15
+    return max(-32768, min(32767, int(acc) + q15))
+
+
+_MACS = {"f32": _f32_mac, "i16-q15-scalar": _q15_mac}
+
+
 def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: np.ndarray,
                      c: np.ndarray) -> tuple[np.ndarray, int]:
     """Run the loop nest emit_kernel_source prints, one MAC at a time.
 
     Block loops in schedule order, each with its clamped extent, then the
-    kk, j, i loops of the scalar body. It has its own loops, not
-    _execute's, so it is the reference blocked execution is checked
-    against. Returns (C + A*B, number of MAC statements executed).
+    kk, j, i loops of the scalar body. The MAC is the one of the kernel for
+    ``problem.element_bytes`` (emit.element_type): 4 adds the product in
+    the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC.
+    This is the library's one functional executor. Returns (C + A*B, number
+    of MAC statements executed).
     """
+    mac = _MACS[element_type(problem.element_bytes)]
     _check_operand_dims(problem, a, b, c)
     a, b = np.asarray(a), np.asarray(b)
     out = np.array(c, copy=True)
@@ -329,7 +301,7 @@ def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: n
                 for kk in range(kb):
                     for j in range(nb):
                         for i in range(mb):
-                            out[m0 + i, n0 + j] = (out[m0 + i, n0 + j]
-                                                   + a[m0 + i, k0 + kk] * b[k0 + kk, n0 + j])
+                            out[m0 + i, n0 + j] = mac(out[m0 + i, n0 + j],
+                                                      a[m0 + i, k0 + kk], b[k0 + kk, n0 + j])
                             macs += 1
     return out, macs

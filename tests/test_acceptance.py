@@ -5,7 +5,7 @@ the captured output of a failure). Expected values are either fixed
 points of the model reproduced by independent oracles in this file, or
 exact equalities between two independently implemented routes
 (closed-form accounting vs. the access-counting simulator, the kernel
-interpreter vs. blocked execution).
+interpreter vs. numpy's product).
 """
 
 import itertools
@@ -32,7 +32,6 @@ from memtile.sim import (
     check_streaming_hiding,
     interpret_kernel,
     measure_cake_bw,
-    run_functional,
     simulate_schedule,
 )
 from memtile.tiling import (
@@ -141,7 +140,7 @@ def test_criterion_5_functional_correctness():
     b = rng.integers(-40, 40, (9, 11)).astype(np.int64)
     c = rng.integers(-40, 40, (7, 11)).astype(np.int64)
     for order in orders:
-        out = run_functional(a, b, c, Schedule(order, T5))
+        out, _ = interpret_kernel(MMProblem(7, 9, 11), Schedule(order, T5), a, b, c)
         if not np.array_equal(out, c + a @ b):
             failures.append(("fixed", order.value))
 
@@ -149,17 +148,18 @@ def test_criterion_5_functional_correctness():
         M, K, N = (int(x) for x in rng.integers(1, 28, 3))
         tile = TileShape(*(int(x) for x in rng.integers(1, 8, 3)))
         schedule = Schedule(orders[case % 6], tile)
+        problem = MMProblem(M, K, N)
         if case % 2 == 0:
             a = rng.integers(-50, 50, (M, K)).astype(np.int64)
             b = rng.integers(-50, 50, (K, N)).astype(np.int64)
             c = rng.integers(-50, 50, (M, N)).astype(np.int64)
-            if not np.array_equal(run_functional(a, b, c, schedule), c + a @ b):
+            if not np.array_equal(interpret_kernel(problem, schedule, a, b, c)[0], c + a @ b):
                 failures.append((case, "int"))
         else:
             a = rng.standard_normal((M, K))
             b = rng.standard_normal((K, N))
             c = rng.standard_normal((M, N))
-            out = run_functional(a, b, c, schedule)
+            out, _ = interpret_kernel(problem, schedule, a, b, c)
             ref = c + a @ b
             if not np.allclose(out, ref, rtol=1e-6, atol=0):
                 failures.append((case, "float"))
@@ -258,9 +258,9 @@ def test_criterion_7_streaming_hiding_threshold():
     report(7, "streaming-hiding threshold", ok)
     assert ok
 
-    """Descriptors re-emit byte-identically; interpret_kernel reproduces blocked execution."""
+
 def test_criterion_8_emission_round_trip():
-    """Descriptors re-emit byte-identically; the kernel interpreter reproduces blocked execution."""
+    """Descriptors re-emit byte-identically; the kernel interpreter reproduces C + A @ B."""
     hw = HardwareSpec("emit", 36, 4096, 64e6, 64e6)
     problem = MMProblem(40, 40, 40)
     schedule = select_schedule(problem, T5)
@@ -282,7 +282,7 @@ def test_criterion_8_emission_round_trip():
         b = rng.integers(-30, 30, (K, N)).astype(np.int64)
         c = rng.integers(-30, 30, (M, N)).astype(np.int64)
         via_kernel, macs = interpret_kernel(prob, sched, a, b, c)
-        ok &= np.array_equal(via_kernel, run_functional(a, b, c, sched))
+        ok &= np.array_equal(via_kernel, c + a @ b)
         ok &= macs == prob.macs
     report(8, "emission round trip and interpreter fidelity", ok)
     assert ok

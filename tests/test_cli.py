@@ -189,6 +189,17 @@ class TestSimulate:
         assert len(rows) == 1
         assert rows[0]["order"] == "M->N->K"
 
+    def test_output_fields(self, capsys):
+        fields = ["M", "K", "N", "order", "loads_a", "loads_b", "loads_c", "stores_c",
+                  "total_elems", "blocks_executed", "max_resident_elems"]
+        args = ["simulate", "7", "9", "11", "-m", "5", "-k", "5", "-n", "5", "--order", "MNK"]
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert sorted(json.loads(out)) == sorted(fields)
+        _, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert out.splitlines()[0] == ",".join(fields)
+        _, out, _ = run_cli(capsys, *args, "--format", "text")
+        assert [line.split(": ")[0] for line in out.splitlines()] == fields
+
 
 class TestRoofline:
     def test_compute_bound(self, capsys):

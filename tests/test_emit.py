@@ -21,10 +21,28 @@ from memtile.io_model import (
     all_class_io,
     io_for_class,
 )
-from memtile.sim import interpret_kernel, run_functional
+from memtile.sim import interpret_kernel
 from memtile.tiling import TileShape
 
 HW = HardwareSpec("dev", 36, 4096, 64e6, 64e6)
+
+
+def q15_mac(acc, x, y):
+    q15 = (x * y + (1 << 14)) >> 15
+    return max(-32768, min(32767, acc + q15))
+
+
+def q15_reference(a, b, c):
+    """C + A*B under q15_mac; per C element, contributions arrive in ascending k."""
+    (M, K), N = a.shape, b.shape[1]
+    expected = np.empty((M, N), dtype=np.int64)
+    for i in range(M):
+        for j in range(N):
+            acc = int(c[i, j])
+            for kk in range(K):
+                acc = q15_mac(acc, int(a[i, kk]), int(b[kk, j]))
+            expected[i, j] = acc
+    return expected
 
 
 def cube40_descriptor():
@@ -146,7 +164,6 @@ class TestInterpreter:
             b = rng.integers(-30, 30, (K, N)).astype(np.int64)
             c = rng.integers(-30, 30, (M, N)).astype(np.int64)
             via_kernel, _ = interpret_kernel(problem, schedule, a, b, c)
-            assert np.array_equal(via_kernel, run_functional(a, b, c, schedule))
             assert np.array_equal(via_kernel, c + a @ b)
 
     @pytest.mark.parametrize("side", [6, 3])
@@ -155,6 +172,32 @@ class TestInterpreter:
         with pytest.raises(ValueError, match="do not match problem 4x4x4"):
             interpret_kernel(MMProblem(4, 4, 4), Schedule(LoopOrder.MNK, TileShape(2, 2, 2)),
                              square, square, square)
+
+    def test_q15_matches_reference(self):
+        rng = np.random.default_rng(61)
+        ragged = tuple(rng.integers(-32768, 32768, shape).astype(np.int16)
+                       for shape in ((7, 9), (9, 11), (7, 11)))
+        for order in LoopOrder:
+            out, _ = interpret_kernel(MMProblem(7, 9, 11, 2), Schedule(order, TileShape(4, 3, 2)),
+                                      *ragged)
+            assert out.dtype == np.int16
+            assert np.array_equal(out.astype(np.int64), q15_reference(*ragged))
+        # 20000 + round(20000 * 20000 / 2**15) = 32207; the rest saturate
+        a = np.array([[20000, 0], [32767, 32767], [-32768, 32767]], dtype=np.int16)
+        b = np.array([[20000, 32767], [0, 32767]], dtype=np.int16)
+        c = np.array([[20000, 32767], [32767, 32767], [-32768, -32768]], dtype=np.int16)
+        out, _ = interpret_kernel(MMProblem(3, 2, 2, 2), Schedule(LoopOrder.KNM, TileShape(2, 1, 1)),
+                                  a, b, c)
+        assert np.array_equal(out.astype(np.int64), q15_reference(a, b, c))
+        assert out[0, 0] == 32207 and out[1, 1] == 32767 and out[2, 0] == -32768
+
+    @pytest.mark.parametrize("element_bytes", [1, 8])
+    def test_element_width_without_kernel_type_rejected(self, element_bytes):
+        one = np.ones((1, 1))
+        with pytest.raises(ValueError, match=f"no kernel element type for element_bytes "
+                                             f"{element_bytes}"):
+            interpret_kernel(MMProblem(1, 1, 1, element_bytes),
+                             Schedule(LoopOrder.MNK, TileShape(1, 1, 1)), one, one, one)
 
 
 class TestKernelSource:
@@ -229,23 +272,12 @@ class TestCompiledKernel:
             assert np.array_equal(out, c + a @ b)
 
     def test_q15_kernel_matches_reference_semantics(self, tmp_path):
-        def q15_mac(acc, x, y):
-            q15 = (x * y + (1 << 14)) >> 15
-            return max(-32768, min(32767, acc + q15))
-
         rng = np.random.default_rng(59)
         operands = [tuple(rng.integers(-32768, 32768, shape).astype(np.int16)
                           for shape in ((M, K), (K, N), (M, N)))
                     for M, K, N in ((9, 6, 7), *RAGGED)]
-        for _, a, b, c, out in _run_each_order(tmp_path, "i16-q15-scalar", ctypes.c_int16,
-                                               operands):
-            # per C element, contributions arrive in ascending k regardless of order
-            (M, K), N = a.shape, b.shape[1]
-            expected = np.empty((M, N), dtype=np.int64)
-            for i in range(M):
-                for j in range(N):
-                    acc = int(c[i, j])
-                    for kk in range(K):
-                        acc = q15_mac(acc, int(a[i, kk]), int(b[kk, j]))
-                    expected[i, j] = acc
-            assert np.array_equal(out.astype(np.int64), expected)
+        for schedule, a, b, c, out in _run_each_order(tmp_path, "i16-q15-scalar",
+                                                      ctypes.c_int16, operands):
+            assert np.array_equal(out.astype(np.int64), q15_reference(a, b, c))
+            problem = MMProblem(a.shape[0], a.shape[1], b.shape[1], 2)
+            assert np.array_equal(out, interpret_kernel(problem, schedule, a, b, c)[0])

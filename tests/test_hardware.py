@@ -13,7 +13,6 @@ from memtile.hardware import (
     load_hardware,
     resolve_hardware,
     ridge_point,
-    roofline_point,
 )
 
 
@@ -74,8 +73,7 @@ class TestAttainableThroughput:
 
     def test_roofline_point_invariant(self):
         hw = make_hw(100, 40, 1)
-        pt = roofline_point(hw, 1.5)
-        assert pt.attainable_throughput == min(hw.peak_flops_total, 1.5 * 40)
+        assert attainable_throughput(hw, 1.5) == min(hw.peak_flops_total, 1.5 * 40)
 
 
 class TestSpecInvariants:

@@ -20,9 +20,9 @@ from memtile.io_model import (
 from memtile.sim import (
     brute_force_best,
     check_streaming_hiding,
+    interpret_kernel,
     io_report_from_sim,
     measure_cake_bw,
-    run_functional,
     simulate_schedule,
 )
 from memtile.tiling import CBBlock, TileShape, cake_offchip_bw, derive_cake_block
@@ -298,16 +298,16 @@ class TestFootprintAndConservation:
 class TestFunctional:
     def test_identity_a_returns_b(self):
         b = np.arange(30, dtype=np.int64).reshape(6, 5)
-        out = run_functional(np.eye(6, dtype=np.int64), b, np.zeros((6, 5), dtype=np.int64),
-                             Schedule(LoopOrder.MNK, TileShape(4, 2, 3)))
+        out, _ = interpret_kernel(MMProblem(6, 6, 5), Schedule(LoopOrder.MNK, TileShape(4, 2, 3)),
+                                  np.eye(6, dtype=np.int64), b, np.zeros((6, 5), dtype=np.int64))
         assert np.array_equal(out, b)
 
     def test_zero_a_leaves_c(self):
         rng = np.random.default_rng(5)
         c = rng.integers(-9, 9, (7, 11)).astype(np.int64)
-        out = run_functional(np.zeros((7, 9), dtype=np.int64),
-                             rng.integers(-9, 9, (9, 11)).astype(np.int64),
-                             c, Schedule(LoopOrder.KNM, T5))
+        out, _ = interpret_kernel(MMProblem(7, 9, 11), Schedule(LoopOrder.KNM, T5),
+                                  np.zeros((7, 9), dtype=np.int64),
+                                  rng.integers(-9, 9, (9, 11)).astype(np.int64), c)
         assert np.array_equal(out, c)
 
     def test_ragged_integer_exactness(self):
@@ -316,7 +316,7 @@ class TestFunctional:
         b = rng.integers(-50, 50, (9, 11)).astype(np.int64)
         c = rng.integers(-50, 50, (7, 11)).astype(np.int64)
         for order in LoopOrder:
-            out = run_functional(a, b, c, Schedule(order, T5))
+            out, _ = interpret_kernel(MMProblem(7, 9, 11), Schedule(order, T5), a, b, c)
             assert np.array_equal(out, naive_mm(a, b, c))
 
     def test_float_tolerance(self):
@@ -325,28 +325,15 @@ class TestFunctional:
         b = rng.standard_normal((13, 8))
         c = rng.standard_normal((12, 8))
         for order in LoopOrder:
-            out = run_functional(a, b, c, Schedule(order, TileShape(4, 3, 5)))
+            out, _ = interpret_kernel(MMProblem(12, 13, 8), Schedule(order, TileShape(4, 3, 5)),
+                                      a, b, c)
             ref = naive_mm(a, b, c)
             assert np.allclose(out, ref, rtol=1e-6, atol=0)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
-            run_functional(np.zeros((3, 4)), np.zeros((5, 6)), np.zeros((3, 6)),
-                           Schedule(LoopOrder.MNK, T5))
-
-    def test_checksum_matches_functional_result(self):
-        rng = np.random.default_rng(29)
-        a = rng.integers(0, 9, (10, 10)).astype(np.int64)
-        b = rng.integers(0, 9, (10, 10)).astype(np.int64)
-        c = np.zeros((10, 10), dtype=np.int64)
-        schedule = Schedule(LoopOrder.MNK, T5)
-        rep = simulate_schedule(MMProblem(10, 10, 10), schedule, operands=(a, b, c))
-        assert rep.checksum == float(run_functional(a, b, c, schedule).sum())
-
-    def test_operand_shape_checked_against_problem(self):
-        with pytest.raises(ValueError):
-            simulate_schedule(MMProblem(4, 4, 4), Schedule(LoopOrder.MNK, T5),
-                              operands=(np.zeros((3, 4)), np.zeros((4, 4)), np.zeros((4, 4))))
+            interpret_kernel(MMProblem(3, 4, 6), Schedule(LoopOrder.MNK, T5),
+                             np.zeros((3, 4)), np.zeros((5, 6)), np.zeros((3, 6)))
 
 
 class TestStreamingHiding:
