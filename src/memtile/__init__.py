@@ -8,39 +8,38 @@ simulator, and emit schedule descriptors plus portable scalar kernels.
 The package exports the names the README documents; everything else is
 reached through its module (``memtile.io_model``, ``memtile.sim``, ...).
 
-numpy is loaded only with the access-counting simulator (``memtile.sim``):
-by the ``simulate`` and ``sweep`` commands and when ``simulate_schedule`` is
-first read, so ``import memtile`` alone does not load it.
+``import memtile`` loads none of its modules: each loads when one of its
+names is first used (PEP 562). numpy still comes only with the simulator,
+``memtile.sim``, which loads when it is imported or ``simulate_schedule`` read.
 """
-
-from .benchmarks import load_benchmark
-from .emit import emit_descriptor, emit_kernel_source
-from .hardware import fixture_hardware
-from .io_model import LoopOrder, MMProblem, Schedule, io_for_class, select_schedule
-from .tiling import TileShape, best_register_tile, derive_square_tile
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LoopOrder",
-    "MMProblem",
-    "Schedule",
-    "TileShape",
-    "best_register_tile",
-    "derive_square_tile",
-    "emit_descriptor",
-    "emit_kernel_source",
-    "fixture_hardware",
-    "io_for_class",
-    "load_benchmark",
-    "select_schedule",
-    "simulate_schedule",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "LoopOrder": "io_model",
+    "MMProblem": "io_model",
+    "Schedule": "io_model",
+    "TileShape": "tiling",
+    "best_register_tile": "tiling",
+    "derive_square_tile": "tiling",
+    "emit_descriptor": "emit",
+    "emit_kernel_source": "emit",
+    "fixture_hardware": "hardware",
+    "io_for_class": "io_model",
+    "load_benchmark": "benchmarks",
+    "select_schedule": "io_model",
+    "simulate_schedule": "sim",
+}
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # PEP 562: the simulator, and numpy with it, loads on first use.
-    if name == "simulate_schedule":
-        from .sim import simulate_schedule
-        return simulate_schedule
+    # Never bound here, so a function swapped in its own module is what every
+    # later read sees. Modules resolve too, but not ``sim``: it brings numpy.
+    # __import__ (unlike importlib.import_module) shows in ``-X importtime``.
+    if name in _EXPORTS:
+        return getattr(__import__(_EXPORTS[name], globals(), level=1, fromlist=[name]), name)
+    if name in _EXPORTS.values() and name != "sim":
+        return __import__(name, globals(), level=1, fromlist=[name])
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

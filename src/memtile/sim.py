@@ -248,13 +248,24 @@ def measure_cake_bw(p_cores: int, block: CBBlock, hw: HardwareSpec) -> float:
     return float(Fraction(io) / time)
 
 
-def _check_operand_dims(problem: MMProblem, a, b, c) -> None:
+def _check_operands(problem: MMProblem, q15: bool, a, b, c) -> tuple[np.ndarray, ...]:
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     if a.shape != (problem.M, problem.K) or b.shape != (problem.K, problem.N) \
             or c.shape != (problem.M, problem.N):
         raise ValueError(
             f"operand shapes {a.shape}/{b.shape}/{c.shape} do not match problem "
             f"{problem.M}x{problem.K}x{problem.N}")
+    if not q15:
+        return a, b, c
+    # The q15 kernel takes int16_t operands: anything else would be truncated
+    # or multiplied as given and read as a plausible Q15 result.
+    low, high = np.iinfo(np.int16).min, np.iinfo(np.int16).max
+    for name, operand in zip("ABC", (a, b, c)):
+        if operand.dtype.kind not in "iu":
+            raise ValueError(f"q15 operand {name} has dtype {operand.dtype}, not an integer type")
+        if operand.min() < low or operand.max() > high:
+            raise ValueError(f"q15 operand {name} has values outside [{low}, {high}]")
+    return a, b, c
 
 
 def _f32_mac(acc, x, y):
@@ -277,14 +288,14 @@ def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: n
     Block loops in schedule order, each with its clamped extent, then the
     kk, j, i loops of the scalar body. The MAC is the one of the kernel for
     ``problem.element_bytes`` (emit.element_type): 4 adds the product in
-    the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC.
+    the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC,
+    whose operands must be integers in the int16 range (else ValueError).
     This is the library's one functional executor. Returns (C + A*B, number
     of MAC statements executed).
     """
     mac = _MACS[element_type(problem.element_bytes)]
-    _check_operand_dims(problem, a, b, c)
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.array(c, copy=True)
+    a, b, c = _check_operands(problem, mac is _q15_mac, a, b, c)
+    out = c.copy()
     t = schedule.tile
     bound = {"M": problem.M, "K": problem.K, "N": problem.N}
     step = {"M": t.m, "K": t.k, "N": t.n}

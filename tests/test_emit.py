@@ -191,6 +191,35 @@ class TestInterpreter:
         assert np.array_equal(out.astype(np.int64), q15_reference(a, b, c))
         assert out[0, 0] == 32207 and out[1, 1] == 32767 and out[2, 0] == -32768
 
+    @pytest.mark.parametrize("operands", [
+        ([[0.9]], [[40000.0]], [[0.5]]),
+        ([[1]], [[1]], np.array([[1]], dtype=np.float32)),
+        ([[1]], np.array([[True]]), [[0]]),
+    ], ids=["float-lists", "float32-c", "bool-b"])
+    def test_q15_rejects_non_integer_operands(self, operands):
+        with pytest.raises(ValueError, match="q15 operand [ABC] has dtype .*, not an integer"):
+            interpret_kernel(MMProblem(1, 1, 1, 2), Schedule(LoopOrder.MNK, TileShape(1, 1, 1)),
+                             *operands)
+
+    @pytest.mark.parametrize("operands", [
+        ([[70000]], [[1]], [[0]]),
+        ([[1]], [[-32769]], [[0]]),
+        ([[1]], [[1]], np.array([[40000]], dtype=np.uint16)),
+    ], ids=["a-70000", "b-32769", "c-uint16"])
+    def test_q15_rejects_values_outside_int16(self, operands):
+        with pytest.raises(ValueError, match=r"outside \[-32768, 32767\]"):
+            interpret_kernel(MMProblem(1, 1, 1, 2), Schedule(LoopOrder.MNK, TileShape(1, 1, 1)),
+                             *operands)
+
+    def test_q15_takes_int16_extremes_in_wider_integer_dtypes(self):
+        # -32768 * 32767 / 2**15 rounds to -32767; 5 - 32767 = -32762.
+        for dtype in (np.int16, np.int32, np.int64):
+            one = np.ones((1, 1), dtype=dtype)
+            out, _ = interpret_kernel(MMProblem(1, 1, 1, 2),
+                                      Schedule(LoopOrder.MNK, TileShape(1, 1, 1)),
+                                      [[-32768]], one * 32767, one * 5)
+            assert out.tolist() == [[-32762]]
+
     @pytest.mark.parametrize("element_bytes", [1, 8])
     def test_element_width_without_kernel_type_rejected(self, element_bytes):
         one = np.ones((1, 1))

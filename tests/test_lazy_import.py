@@ -1,13 +1,17 @@
-"""numpy is imported only where accesses are counted.
+"""``import memtile`` loads no module; numpy comes only where accesses are counted.
 
+The package binds none of its names: each public name's module loads when
+the name is first read, and every read goes to that module, so a function
+the benchmark's tracer swaps in its own module is what the package returns.
 The simulator (``memtile.sim``) is the one module that needs numpy, so
 ``import memtile`` and the CLI commands that count nothing must start
 without it; ``simulate`` and ``sweep`` import it when they run. The import
 checks start a fresh interpreter, since the test process has long since
-loaded numpy.
+loaded memtile and numpy.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +46,63 @@ def _imported(importtime_stderr: str) -> set[str]:
 def _without_importtime(stderr: str) -> str:
     return "".join(line for line in stderr.splitlines(keepends=True)
                    if not line.startswith("import time:"))
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The memtile modules loaded in a fresh interpreter after ``import memtile``
+    and then ``statement``."""
+    script = ("import json, sys, memtile\n" + statement + "\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('memtile'))))\n")
+    code, out, err = _python("-c", script)
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("", ["memtile"]),
+    ("memtile.fixture_hardware('cortex-m4-fp32')", ["memtile", "memtile.hardware"]),
+    ("memtile.load_benchmark('mlperf-tiny')", ["memtile", "memtile.benchmarks"]),
+], ids=["import", "fixture_hardware", "load_benchmark"])
+def test_a_name_loads_only_its_module(statement, loaded):
+    assert _loaded_after(statement) == loaded
+
+
+@pytest.mark.parametrize("module, attr", [
+    ("benchmarks", "load_benchmark"),
+    ("emit", "emit_kernel_source"),
+    ("hardware", "resolve_hardware"),
+    ("io_model", "m_first_condition"),
+    ("tiling", "derive_square_tile"),
+])
+def test_submodules_resolve_after_plain_import(module, attr):
+    assert f"memtile.{module}" in _loaded_after(f"assert callable(memtile.{module}.{attr})")
+
+
+def test_lazily_loaded_modules_show_in_importtime():
+    """The benchmark's ``import.memtile_s`` sums memtile's ``-X importtime`` rows."""
+    code, _, err = _python("-X", "importtime", "-c", "import memtile\n"
+                           "memtile.fixture_hardware('cortex-m4-fp32')\nmemtile.io_model\n")
+    assert code == 0, err
+    assert {"memtile", "memtile.hardware", "memtile.io_model"} <= _imported(err)
+
+
+def test_simulator_module_does_not_resolve_without_its_import():
+    script = ("import sys, memtile\n"
+              "print(hasattr(memtile, 'sim'), 'numpy' in sys.modules)\n"
+              "import memtile.sim\n"
+              "print(memtile.sim.simulate_schedule is memtile.simulate_schedule)\n")
+    code, out, err = _python("-c", script)
+    assert code == 0, err
+    assert out == "False False\nTrue\n"
+
+
+def test_every_public_name_is_its_modules_object():
+    assert len(memtile.__all__) == 13
+    for name in memtile.__all__:
+        value = getattr(memtile, name)
+        assert value.__module__.startswith("memtile."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert name not in vars(memtile), name  # read through, never bound
 
 
 def test_import_memtile_leaves_numpy_out():
@@ -104,3 +165,17 @@ def test_traced_sweep_records_simulator_spans(capsys):
     assert summary["spans"]["sim.simulate_schedule"]["calls"] == rows
     assert summary["counts"]["sim.calls"] == rows
     assert summary["counts"]["sim.blocks"] > 0
+
+
+def test_tracer_swap_reaches_the_package_and_is_undone():
+    """The tracer wraps ``select_schedule`` where it is bound, not in the
+    package; the package reads through to the wrapper while it is installed
+    and to the original after, even when first read under the tracer."""
+    tracer = _perfbench_tracer()
+    original = memtile.io_model.select_schedule
+    with tracer.Tracer():
+        assert memtile.select_schedule is memtile.io_model.select_schedule
+        assert memtile.select_schedule is not original
+    assert memtile.select_schedule is memtile.io_model.select_schedule
+    assert memtile.select_schedule is original
+    assert "select_schedule" not in vars(memtile)
