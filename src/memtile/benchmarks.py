@@ -1,34 +1,30 @@
-"""Bundled benchmark layer tables: per-layer MM dimensions for sweeps."""
+"""Bundled benchmark layer tables: per-layer MM dimensions for sweeps.
+
+Layers and tables are immutable tuple records; a table is checked when built.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 
-
-@dataclass(frozen=True)
-class BenchmarkLayer:
-    layer_id: int
-    M: int
-    K: int
-    N: int
+BenchmarkLayer = namedtuple("BenchmarkLayer", "layer_id M K N")
 
 
-@dataclass(frozen=True)
-class BenchmarkFixture:
-    name: str
-    layers: tuple[BenchmarkLayer, ...]
+class BenchmarkFixture(namedtuple("BenchmarkFixture", "name layers")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ids = [l.layer_id for l in self.layers]
+    def __new__(cls, name: str, layers: tuple[BenchmarkLayer, ...]) -> BenchmarkFixture:
+        ids = [l.layer_id for l in layers]
         if len(ids) != len(set(ids)):
-            raise ValueError(f"benchmark {self.name!r} has duplicate layer ids")
-        for l in self.layers:
+            raise ValueError(f"benchmark {name!r} has duplicate layer ids")
+        for l in layers:
             if min(l.M, l.K, l.N) < 1:
-                raise ValueError(f"benchmark {self.name!r} layer {l.layer_id} has non-positive dims")
+                raise ValueError(f"benchmark {name!r} layer {l.layer_id} has non-positive dims")
+        return super().__new__(cls, name, layers)
 
 
 def _parse_layers_csv(name: str, text: str) -> BenchmarkFixture:

@@ -4,7 +4,8 @@ A ScheduleDescriptor is the JSON wire format (schema "v1") tying together
 the problem, the chosen tile and loop order, the analytic IO accounting,
 and the roofline throughput prediction. Serialization is canonical
 (sorted keys, fixed separators), so emit -> parse -> re-emit is
-byte-identical.
+byte-identical. Its fields, in order, and the JSON type of each come from
+one table, _DESCRIPTOR_FIELDS.
 
 Kernel generation produces a single self-contained C translation unit
 realizing the blocked loop nest with a scalar rank-1 microkernel: three
@@ -17,7 +18,7 @@ follow the mema_outer_<m>x<k>x<n> naming convention.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
 
 from .hardware import HardwareSpec, _integer, _number, _string, attainable_throughput
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
@@ -38,30 +39,32 @@ def element_type(element_bytes: int) -> str:
                          f"expected one of {sorted(ELEMENT_TYPES)}") from None
 
 
-@dataclass(frozen=True)
-class ScheduleDescriptor:
+# Each descriptor field, in order, and its JSON type.
+_DESCRIPTOR_FIELDS = {
+    "M": int, "K": int, "N": int, "element_bytes": int,
+    "order": str, "m": int, "k": int, "n": int, "inner_class": str, "stationary": str,
+    "streaming_elems": int, "stationary_elems": int, "total_io_elems": int,
+    "total_io_bytes": int, "per_class_total_elems": dict,
+    "predicted_throughput_macs_per_s": float, "schema": str,
+}
+# The JSON reader for each scalar field type.
+_READERS = {int: _integer, float: _number, str: _string}
+
+
+class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
+                                    defaults=(0.0, SCHEMA_VERSION))):
     """Flat, versioned record of a derived schedule; the "v1" JSON schema."""
 
-    M: int
-    K: int
-    N: int
-    element_bytes: int
-    order: str
-    m: int
-    k: int
-    n: int
-    inner_class: str
-    stationary: str
-    streaming_elems: int
-    stationary_elems: int
-    total_io_elems: int
-    total_io_bytes: int
-    per_class_total_elems: dict[str, int] = field(default_factory=dict)
-    predicted_throughput_macs_per_s: float = 0.0
-    schema: str = SCHEMA_VERSION
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScheduleDescriptor:
+        # per_class_total_elems defaults to a new dict each time, never a shared one.
+        if len(args) <= cls._fields.index("per_class_total_elems"):
+            kwargs.setdefault("per_class_total_elems", {})
+        return super().__new__(cls, *args, **kwargs)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleDescriptor":
@@ -84,21 +87,14 @@ class ScheduleDescriptor:
         schema = raw.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported descriptor schema {schema!r}")
-        types = {f.name: f.type for f in fields(cls)}  # type names, as annotations are strings
-        unknown = set(raw) - set(types)
+        unknown = set(raw) - set(_DESCRIPTOR_FIELDS)
         if unknown:
             raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
-        missing = set(types) - set(raw)
+        missing = set(_DESCRIPTOR_FIELDS) - set(raw)
         if missing:
             raise ValueError(f"missing descriptor keys: {sorted(missing)}")
-        values = {}
-        for name, kind in types.items():
-            if kind == "int":
-                values[name] = _integer(raw, name)
-            elif kind == "float":
-                values[name] = _number(raw, name)
-            elif kind == "str":
-                values[name] = _string(raw, name)
+        values = {name: _READERS[kind](raw, name)
+                  for name, kind in _DESCRIPTOR_FIELDS.items() if kind in _READERS}
         for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
             if values[name] < 1:
                 raise ValueError(f"{name} must be >= 1, got {values[name]}")

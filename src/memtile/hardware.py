@@ -7,21 +7,22 @@ the core count. Bandwidth and memory are expressed in *elements* (not
 bytes) so they compose directly with the element-count IO accounting used
 everywhere else; byte-based descriptor inputs are converted on load.
 
-All types here are frozen values: safe to share across threads, and every
-operation on them is pure.
+HardwareSpec is an immutable tuple record, checked when built: safe to
+share across threads, and every operation on it is pure.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 
 
-@dataclass(frozen=True)
-class HardwareSpec:
+class HardwareSpec(namedtuple("HardwareSpec", "name reuse_registers local_memory_elems "
+                              "ext_bandwidth_elems_per_s peak_flops_per_core cores "
+                              "element_bytes notes")):
     """Resource model of one target device.
 
     reuse_registers counts element slots usable for data reuse, which is
@@ -30,16 +31,14 @@ class HardwareSpec:
     FP32 does, so the reusable budget is an explicit input.
     """
 
-    name: str
-    reuse_registers: int
-    local_memory_elems: int
-    ext_bandwidth_elems_per_s: float
-    peak_flops_per_core: float
-    cores: int = 1
-    element_bytes: int = 4
-    notes: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str, reuse_registers: int, local_memory_elems: int,
+                ext_bandwidth_elems_per_s: float, peak_flops_per_core: float,
+                cores: int = 1, element_bytes: int = 4, notes: str = "") -> HardwareSpec:
+        self = super().__new__(cls, name, reuse_registers, local_memory_elems,
+                               ext_bandwidth_elems_per_s, peak_flops_per_core, cores,
+                               element_bytes, notes)
         if self.reuse_registers < 3:
             raise ValueError("reuse_registers must be >= 3 (room for a 1x1x1 outer product)")
         if self.cores < 1:
@@ -48,6 +47,7 @@ class HardwareSpec:
                            "peak_flops_per_core", "element_bytes"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be strictly positive")
+        return self
 
     @property
     def peak_flops_total(self) -> float:

@@ -20,14 +20,14 @@ The access-counting simulator (memtile.sim) counts every block visit of
 the loop nest and is the independent oracle these counts are tested against.
 
 Everything here is pure and exact: totals are integers, and the selection
-condition is evaluated in rational arithmetic.
+condition is evaluated in rational arithmetic (fractions, imported by the
+two functions that use it). The records are immutable tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .tiling import TileShape
 
@@ -96,32 +96,27 @@ CANONICAL_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class MMProblem:
+class MMProblem(namedtuple("MMProblem", "M K N element_bytes")):
     """One M x K x N multiplication instance (A: M x K, B: K x N, C: M x N)."""
 
-    M: int
-    K: int
-    N: int
-    element_bytes: int = 4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.M, self.K, self.N) < 1:
+    def __new__(cls, M: int, K: int, N: int, element_bytes: int = 4) -> MMProblem:
+        if min(M, K, N) < 1:
             raise ValueError("matrix dims must be >= 1")
-        if self.element_bytes < 1:
+        if element_bytes < 1:
             raise ValueError("element_bytes must be >= 1")
+        return super().__new__(cls, M, K, N, element_bytes)
 
     @property
     def macs(self) -> int:
         return self.M * self.K * self.N
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(namedtuple("Schedule", "order tile")):
     """A loop order plus tile shape; the stationary operand follows from the order."""
 
-    order: LoopOrder
-    tile: TileShape
+    __slots__ = ()
 
     @property
     def inner_class(self) -> InnerClass:
@@ -132,13 +127,11 @@ class Schedule:
         return self.inner_class.stationary
 
 
-@dataclass(frozen=True)
-class IOReport:
+class IOReport(namedtuple("IOReport", "streaming_elems stationary_elems element_bytes",
+                          defaults=(4,))):
     """External element traffic split into streamed and stationary parts."""
 
-    streaming_elems: int
-    stationary_elems: int
-    element_bytes: int = 4
+    __slots__ = ()
 
     @property
     def total_elems(self) -> int:
@@ -206,6 +199,8 @@ def formula_total(M: int, K: int, N: int, m: int, k: int, n: int,
     This is the continuous relaxation the selection condition works in; it
     equals the exact count when the tile divides the problem.
     """
+    from fractions import Fraction
+
     return sum(_class_traffic(M, K, N, Fraction(M, m), Fraction(K, k), Fraction(N, n),
                               inner_class), Fraction(0))
 
@@ -223,6 +218,8 @@ def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
     so the comparison falls back to the class totals directly; either path is
     algebraically equivalent to comparing the three formula_total values.
     """
+    from fractions import Fraction
+
     M, K, N = problem.M, problem.K, problem.N
     m, k, n = tile.m, tile.k, tile.n
     den_k = 1 + M * (Fraction(2, k) - Fraction(1, m))

@@ -32,8 +32,7 @@ the emitted kernel's loop nest and is the one functional executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,16 +50,11 @@ from .io_model import (
 from .tiling import CBBlock, TileShape
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(namedtuple("SimReport", "loads_a loads_b loads_c stores_c "
+                           "blocks_executed max_resident_elems")):
     """Exact external access counts from one simulated schedule."""
 
-    loads_a: int
-    loads_b: int
-    loads_c: int
-    stores_c: int
-    blocks_executed: int
-    max_resident_elems: int
+    __slots__ = ()
 
     @property
     def total_elems(self) -> int:
@@ -78,13 +72,11 @@ class SimReport:
         }
 
 
-@dataclass(frozen=True)
-class StreamTimingReport:
+class StreamTimingReport(namedtuple("StreamTimingReport",
+                                    "compute_time_per_row writeback_time_per_row hidden")):
     """Can writing one finished output row overlap computing the next one?"""
 
-    compute_time_per_row: float
-    writeback_time_per_row: float
-    hidden: bool
+    __slots__ = ()
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -223,6 +215,8 @@ def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
     ceil(peak/bandwidth); the reported times use idealized peak rates with
     no startup latency.
     """
+    from fractions import Fraction
+
     if row_len_n < 1:
         raise ValueError("row length must be >= 1")
     compute = tile.k * row_len_n / hw.peak_flops_per_core
@@ -240,6 +234,8 @@ def measure_cake_bw(p_cores: int, block: CBBlock, hw: HardwareSpec) -> float:
     rationals, so the p factors cancel identically and the result equals
     cake_offchip_bw(m, n, f) bit for bit, independent of p_cores.
     """
+    from fractions import Fraction
+
     if p_cores != block.p:
         raise ValueError(f"core count {p_cores} does not match block's p={block.p}")
     io = p_cores * block.m * block.k + p_cores * block.n * block.k
@@ -265,6 +261,8 @@ def _check_operands(problem: MMProblem, q15: bool, a, b, c) -> tuple[np.ndarray,
             raise ValueError(f"q15 operand {name} has dtype {operand.dtype}, not an integer type")
         if operand.min() < low or operand.max() > high:
             raise ValueError(f"q15 operand {name} has values outside [{low}, {high}]")
+    if not np.can_cast(np.int16, c.dtype):  # the result is written back into C's dtype
+        raise ValueError(f"q15 operand C has dtype {c.dtype}, which cannot hold every int16 value")
     return a, b, c
 
 
@@ -289,7 +287,8 @@ def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: n
     kk, j, i loops of the scalar body. The MAC is the one of the kernel for
     ``problem.element_bytes`` (emit.element_type): 4 adds the product in
     the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC,
-    whose operands must be integers in the int16 range (else ValueError).
+    whose operands must be integers in the int16 range, with C in a dtype
+    that holds every int16 value (else ValueError).
     This is the library's one functional executor. Returns (C + A*B, number
     of MAC statements executed).
     """

@@ -18,26 +18,27 @@ For multicore devices the same idea is lifted to constant-bandwidth (CB)
 blocks: scaling a block from m x k x n to pm x k x pn when p cores are
 used keeps the off-chip bandwidth demand (m+n)/(mn) * f independent of p,
 at the price of local memory growing as pmk + kpn + p^2 mn.
+
+TileShape and CBBlock are immutable tuple records, checked when built.
+The functions that compare exact rationals import fractions themselves,
+so importing this module does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import isqrt
 
 
-@dataclass(frozen=True)
-class TileShape:
+class TileShape(namedtuple("TileShape", "m k n")):
     """Dimensions of one computation block: A tile m x k, B tile k x n, C tile m x n."""
 
-    m: int
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.m, self.k, self.n) < 1:
+    def __new__(cls, m: int, k: int, n: int) -> TileShape:
+        if min(m, k, n) < 1:
             raise ValueError("tile dims must be >= 1")
+        return super().__new__(cls, m, k, n)
 
     @property
     def register_footprint(self) -> int:
@@ -51,22 +52,19 @@ class TileShape:
         return f"{self.m}x{self.k}x{self.n}"
 
 
-@dataclass(frozen=True)
-class CBBlock:
+class CBBlock(namedtuple("CBBlock", "p m k n")):
     """Constant-bandwidth block: p cores each compute an m x k x n sub-block.
 
     The full block has shape pm x k x pn; its C tile (pm x pn) stays in the
     shared local memory while A (pm x k) and B (k x pn) tiles stream through.
     """
 
-    p: int
-    m: int
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or min(self.m, self.k, self.n) < 1:
+    def __new__(cls, p: int, m: int, k: int, n: int) -> CBBlock:
+        if p < 1 or min(m, k, n) < 1:
             raise ValueError("CB block dims and core factor must be >= 1")
+        return super().__new__(cls, p, m, k, n)
 
     @property
     def block_dims(self) -> tuple[int, int, int]:
@@ -78,10 +76,14 @@ class CBBlock:
 
 
 def arithmetic_intensity_of_tile(m: int, n: int) -> float:
-    """MACs per streamed input element for an m x n accumulator tile: mn/(m+n)."""
+    """MACs per streamed input element for an m x n accumulator tile: mn/(m+n).
+
+    Int true division is correctly rounded, so this is the nearest float to
+    the exact rational.
+    """
     if m < 1 or n < 1:
         raise ValueError("tile dims must be >= 1")
-    return float(Fraction(m * n, m + n))
+    return m * n / (m + n)
 
 
 def derive_square_tile(reuse_registers: int) -> int:
@@ -104,6 +106,8 @@ def best_register_tile(reuse_registers: int) -> tuple[int, int]:
     better by a rectangle, so this can beat the square from
     derive_square_tile. Ties go to larger m, then larger n.
     """
+    from fractions import Fraction
+
     if reuse_registers < 3:
         raise ValueError("no feasible tile: need at least 3 reusable registers")
     best_val = Fraction(0)
@@ -144,6 +148,8 @@ def cake_offchip_bw(m: int, n: int, f: float) -> float:
     Independent of the core factor p by construction; computed through exact
     rationals so it compares bit-for-bit against the simulator's IO/time.
     """
+    from fractions import Fraction
+
     if m < 1 or n < 1:
         raise ValueError("tile dims must be >= 1")
     if f <= 0:

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -331,7 +330,7 @@ class TestEmit:
     @pytest.mark.parametrize("element_bytes", [1, 8])
     def test_element_width_without_kernel_type_rejected(self, capsys, tmp_path, element_bytes):
         path = tmp_path / "hw.json"
-        path.write_text(json.dumps({**asdict(fixture_hardware(M4)),
+        path.write_text(json.dumps({**fixture_hardware(M4)._asdict(),
                                     "element_bytes": element_bytes}))
         kernel = tmp_path / "kernel.c"
         code, out, err = run_cli(capsys, "emit", "--hw", str(path), "40", "40", "40",

@@ -211,6 +211,14 @@ class TestInterpreter:
             interpret_kernel(MMProblem(1, 1, 1, 2), Schedule(LoopOrder.MNK, TileShape(1, 1, 1)),
                              *operands)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.uint32])
+    def test_q15_rejects_c_that_cannot_hold_int16(self, dtype):
+        # -32768 * 32767 / 2**15 + 5 = -32762 would overflow C mid-loop.
+        with pytest.raises(ValueError, match="q15 operand C has dtype .*, which cannot hold "
+                                             "every int16 value"):
+            interpret_kernel(MMProblem(1, 1, 1, 2), Schedule(LoopOrder.MNK, TileShape(1, 1, 1)),
+                             [[-32768]], [[32767]], np.array([[5]], dtype))
+
     def test_q15_takes_int16_extremes_in_wider_integer_dtypes(self):
         # -32768 * 32767 / 2**15 rounds to -32767; 5 - 32767 = -32762.
         for dtype in (np.int16, np.int32, np.int64):

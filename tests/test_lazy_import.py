@@ -133,6 +133,63 @@ def test_fresh_cli_imports_numpy_only_to_count_accesses(capsys, argv, loads_nump
     assert code == 0
 
 
+# Start-up cost no memtile path needs: dataclasses brings inspect (with ast,
+# dis and tokenize), and fractions brings decimal.
+HEAVY = ("dataclasses", "inspect", "fractions")
+
+
+def _importers(importtime_stderr: str, name: str) -> list[str]:
+    """The modules whose import loaded ``name``, innermost first: ``-X importtime``
+    lists each module after its imports, which it indents one level deeper."""
+    rows = [(len(field) - len(field.lstrip()), field.strip()) for field in
+            (line.rsplit("|", 1)[1] for line in importtime_stderr.splitlines()
+             if line.startswith("import time:"))]
+    index = next(i for i, (_, module) in enumerate(rows) if module == name)
+    chain, depth = [], rows[index][0]
+    for indent, module in rows[index + 1:]:
+        if indent < depth:
+            chain.append(module)
+            depth = indent
+    return chain
+
+
+def _heavy_loaded(importtime_stderr: str) -> dict[str, list[str]]:
+    """Each HEAVY module loaded beyond a bare interpreter's, with its importers."""
+    _, _, bare = _python("-X", "importtime", "-c", "pass")
+    loaded = _imported(importtime_stderr) - _imported(bare)
+    return {name: _importers(importtime_stderr, name) for name in HEAVY if name in loaded}
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--hw", M4, "40", "40", "40"],
+    ["select", "--hw", M4, "40", "40", "40", "-m", "4", "-k", "2", "-n", "5"],
+    ["roofline", "--hw", "cortex-a72", "-m", "4", "-n", "4"],
+    ["emit", "--hw", M4, "41", "39", "38", "--simulate"],
+    ["simulate", "41", "39", "38", "-m", "5", "-k", "5", "-n", "5", "--order", "NKM"],
+    ["sweep", "--hw", "cortex-a72", "--fixture", "mlperf-tiny"],
+], ids=["derive", "select", "roofline", "emit", "simulate", "sweep"])
+def test_fresh_cli_loads_no_dataclasses_inspect_or_fractions(capsys, argv):
+    """Only numpy, which ``simulate`` and ``sweep`` load, may bring one (it imports inspect)."""
+    code, out, err = _python("-X", "importtime", "-m", "memtile.cli", *argv)
+    assert (code, out, _without_importtime(err)) == (main(argv), *capsys.readouterr())
+    assert code == 0
+    assert {name: importers for name, importers in _heavy_loaded(err).items()
+            if "numpy" not in importers} == {}
+
+
+def test_benchmark_setup_loads_no_dataclasses_inspect_or_fractions():
+    """The benchmark's fresh-interpreter set-up: import memtile, load every
+    bundled hardware profile and layer table."""
+    script = ("import memtile\n"
+              "for name in ('cortex-m4-fp32', 'cortex-m4-q15', 'cortex-a72'):\n"
+              "    memtile.fixture_hardware(name)\n"
+              "for name in ('mlperf-tiny', 'dlmc'):\n"
+              "    memtile.load_benchmark(name)\n")
+    code, _, err = _python("-X", "importtime", "-c", script)
+    assert code == 0, err
+    assert _heavy_loaded(err) == {}
+
+
 def test_lazy_name_is_the_simulator_function():
     assert memtile.simulate_schedule is memtile.sim.simulate_schedule
 

@@ -44,6 +44,11 @@ class TestIntensity:
         with pytest.raises(ValueError):
             arithmetic_intensity_of_tile(5, 0)
 
+    def test_is_the_nearest_float_to_the_exact_rational(self):
+        for m in range(1, 65):
+            for n in range(1, 65):
+                assert arithmetic_intensity_of_tile(m, n) == float(Fraction(m * n, m + n))
+
     def test_strictly_increasing_on_squares(self):
         values = [arithmetic_intensity_of_tile(t, t) for t in range(1, 60)]
         assert all(a < b for a, b in zip(values, values[1:]))
