@@ -1,15 +1,18 @@
 """Bundled benchmark layer tables: per-layer MM dimensions for sweeps.
 
 Layers and tables are immutable tuple records; a table is checked when built.
+A table file holds a ``layer_id,M,K,N`` header and one row per layer, each
+field a whole number in unquoted ASCII digits, so a line splits on its commas.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import os
 from collections import namedtuple
-from importlib import resources
-from pathlib import Path
+
+# The bundled layer tables, read from the package directory.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_COLUMNS = ["layer_id", "M", "K", "N"]
 
 BenchmarkLayer = namedtuple("BenchmarkLayer", "layer_id M K N")
 
@@ -29,37 +32,45 @@ class BenchmarkFixture(namedtuple("BenchmarkFixture", "name layers")):
 
 def _parse_layers_csv(name: str, text: str) -> BenchmarkFixture:
     # Leading '#' lines carry the table's provenance and are skipped.
-    rows = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
-    expected = ["layer_id", "M", "K", "N"]
-    if reader.fieldnames != expected:
-        raise ValueError(f"benchmark {name!r}: expected columns {expected}, got {reader.fieldnames}")
+    rows = [line.split(",") for line in text.splitlines()
+            if line.strip() and not line.startswith("#")]
+    header = rows[0] if rows else None
+    if header != _COLUMNS:
+        raise ValueError(f"benchmark {name!r}: expected columns {_COLUMNS}, got {header}")
     layers = []
-    for row, record in enumerate(reader, start=1):
-        if None in record:  # DictReader's key for fields beyond the header
-            raise ValueError(f"benchmark {name!r} layer row {row}: {len(expected)} fields "
-                             f"expected, got {len(expected) + len(record[None])}")
-        for col in expected:
+    for row, fields in enumerate(rows[1:], start=1):
+        if len(fields) > len(_COLUMNS):
+            raise ValueError(f"benchmark {name!r} layer row {row}: {len(_COLUMNS)} fields "
+                             f"expected, got {len(fields)}")
+        fields += [None] * (len(_COLUMNS) - len(fields))  # a short row's missing fields
+        for col, value in zip(_COLUMNS, fields):
             # ASCII digits only: int() alone also takes "4_0", " 40" and non-ASCII digits.
-            value = record[col]
             if value is None or not (value.isascii() and value.isdigit()):
                 raise ValueError(f"benchmark {name!r} layer row {row}, column {col}: "
                                  f"expected a whole number in ASCII digits, got {value!r}")
-        layers.append(BenchmarkLayer(*(int(record[col]) for col in expected)))
+        layers.append(BenchmarkLayer(*map(int, fields)))
     return BenchmarkFixture(name=name, layers=tuple(layers))
 
 
 def benchmark_names() -> list[str]:
-    pkg = resources.files("memtile") / "data"
-    return sorted(p.name[:-4] for p in pkg.iterdir() if p.name.endswith(".csv"))
+    return sorted(f[:-4] for f in os.listdir(_DATA) if f.endswith(".csv"))
 
 
-def load_benchmark(ref: str) -> BenchmarkFixture:
-    """Load a bundled table by name, or any CSV file by path."""
-    path = Path(ref)
-    if path.is_file():
-        return _parse_layers_csv(path.stem, path.read_text(encoding="utf-8"))
-    res = resources.files("memtile") / "data" / f"{ref}.csv"
-    if not res.is_file():
-        raise ValueError(f"unknown benchmark fixture {ref!r}; available: {benchmark_names()}")
-    return _parse_layers_csv(ref, res.read_text(encoding="utf-8"))
+def load_benchmark(ref: str | os.PathLike) -> BenchmarkFixture:
+    """Load a bundled table by name, or any CSV file by path (named after its
+    file name without the suffix)."""
+    path = os.fspath(ref)
+    if os.path.isfile(path):
+        name = os.path.basename(path)
+        dot = name.rfind(".")  # as pathlib's stem: ".csv" and "layers." keep their dot
+        name = name[:dot] if 0 < dot < len(name) - 1 else name
+    else:
+        name, path = path, os.path.join(_DATA, f"{path}.csv")
+        if not os.path.isfile(path):
+            raise ValueError(f"unknown benchmark fixture {name!r}; available: {benchmark_names()}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _parse_layers_csv(name, text)

@@ -1,17 +1,16 @@
 """Command-line front end: derive, select, simulate, sweep, roofline, emit.
 
 Only ``simulate`` and ``sweep`` count accesses, so only they import the
-simulator, and with it numpy; the other commands start without it.
+simulator, and with it numpy; the other commands start without it. Likewise
+only ``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from pathlib import Path
 
 from .benchmarks import load_benchmark
 from .emit import element_type, emit_descriptor, emit_kernel_source
@@ -72,6 +71,12 @@ def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool, pad: bool = Fa
     return schedule, reports[schedule.inner_class], per_class, note
 
 
+def _write(path: str, text: str) -> None:
+    """Write an ``--out`` artifact as UTF-8."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _print_note(note: str, beside_json: bool) -> None:
     """Print the count note as the last line of text output, or on stderr
     beside JSON, which must stay parseable: padded counts never pass for exact."""
@@ -90,7 +95,7 @@ def cmd_schedule(args) -> int:
         problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate)
     desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
     if args.out:
-        Path(args.out).write_text(desc.to_json(), encoding="utf-8")
+        _write(args.out, desc.to_json())
     if args.format == "json":
         print(desc.to_json(), end="")
         _print_note(note, beside_json=True)
@@ -125,6 +130,8 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(payload))
         writer.writeheader()
@@ -133,7 +140,7 @@ def cmd_simulate(args) -> int:
     else:
         text = "".join(f"{key}: {value}\n" for key, value in payload.items())
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     print(text, end="")
     return 0
 
@@ -175,13 +182,15 @@ def cmd_sweep(args) -> int:
         lines += ["  ".join(str(r[col]).ljust(widths[col]) for col in _CSV_COLUMNS) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     print(text, end="")
     return 0
 
@@ -208,7 +217,7 @@ def cmd_roofline(args) -> int:
                 f"attainable {payload['attainable_throughput_macs_per_s']:.3e} MACs/s "
                 f"-> {bound}\n")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     print(text, end="")
     return 0
 
@@ -223,12 +232,12 @@ def cmd_emit(args) -> int:
         problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate, order=order)
     source = emit_kernel_source(schedule, kernel_type)
     if args.out:
-        Path(args.out).write_text(source, encoding="utf-8")
+        _write(args.out, source)
     else:
         print(source, end="")
     desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
     if args.descriptor_out:
-        Path(args.descriptor_out).write_text(desc.to_json(), encoding="utf-8")
+        _write(args.descriptor_out, desc.to_json())
     if args.out:
         # kernel went to a file; the descriptor is the stdout artifact
         print(desc.to_json(), end="")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .hardware import HardwareSpec, _integer, _number, _string, attainable_throughput
+from .hardware import (HardwareSpec, _integer, _number, _string, _unique_keys,
+                       attainable_throughput)
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -79,7 +80,7 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
         ``inner_class`` equals ``total_io_elems``.
         """
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("schedule descriptor JSON nested too deeply to parse") from None
         if not isinstance(raw, dict):

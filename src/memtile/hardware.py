@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
-from importlib import resources
-from pathlib import Path
+
+# The bundled profiles, read from the package directory.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class HardwareSpec(namedtuple("HardwareSpec", "name reuse_registers local_memory_elems "
@@ -161,22 +163,34 @@ def _integer(raw: dict, key: str) -> int:
     return int(value)
 
 
-def load_hardware(path: str | Path) -> HardwareSpec:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: a repeated key is an error,
+    not a silent overwrite by its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_hardware(path: str | os.PathLike) -> HardwareSpec:
     """Load a hardware descriptor from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        with open(path, encoding="utf-8") as f:
+            raw = json.loads(f.read(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # not UTF-8, a repeated key, or an integer too long to convert
+        raise ValueError(f"{path}: {exc}") from None
     return hardware_from_dict(raw)
 
 
 def fixture_names() -> list[str]:
     """Names of the hardware descriptors bundled with the package."""
-    pkg = resources.files("memtile") / "data"
-    return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
+    return sorted(f[:-5] for f in os.listdir(_DATA) if f.endswith(".json"))
 
 
 def fixture_hardware(name: str) -> HardwareSpec:
@@ -186,14 +200,14 @@ def fixture_hardware(name: str) -> HardwareSpec:
     bandwidth and peak-throughput numbers are illustrative placeholders,
     flagged as such in each file's notes.
     """
-    res = resources.files("memtile") / "data" / f"{name}.json"
-    if not res.is_file():
+    path = os.path.join(_DATA, f"{name}.json")
+    if not os.path.isfile(path):
         raise ValueError(f"unknown hardware fixture {name!r}; available: {fixture_names()}")
-    return hardware_from_dict(json.loads(res.read_text(encoding="utf-8")))
+    return load_hardware(path)
 
 
 def resolve_hardware(ref: str) -> HardwareSpec:
     """Interpret ``ref`` as a descriptor file path, else as a bundled fixture name."""
-    if Path(ref).is_file():
+    if os.path.isfile(ref):
         return load_hardware(ref)
     return fixture_hardware(ref)

@@ -1,6 +1,18 @@
+import csv
+import io
+import os
+
 import pytest
 
+import memtile.benchmarks
 from memtile.benchmarks import BenchmarkFixture, BenchmarkLayer, benchmark_names, load_benchmark
+
+
+def dictreader_layers(text: str) -> tuple[BenchmarkLayer, ...]:
+    """Reference parse of a layer table with the csv module."""
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    return tuple(BenchmarkLayer(*(int(r[col]) for col in ("layer_id", "M", "K", "N")))
+                 for r in csv.DictReader(io.StringIO("\n".join(lines))))
 
 
 class TestBundledTables:
@@ -19,6 +31,14 @@ class TestBundledTables:
         assert len(fixture.layers) == 12
         assert fixture.layers[0] == BenchmarkLayer(1, 512, 2048, 256)
         assert fixture.layers[-1] == BenchmarkLayer(12, 2048, 512, 2048)
+
+    @pytest.mark.parametrize("name", ["mlperf-tiny", "dlmc"])
+    def test_parse_matches_csv_module(self, name):
+        path = os.path.join(os.path.dirname(memtile.benchmarks.__file__), "data", f"{name}.csv")
+        with open(path, encoding="utf-8") as f:
+            expected = dictreader_layers(f.read())
+        assert load_benchmark(name).layers == expected
+        assert load_benchmark(path) == BenchmarkFixture(name, expected)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown benchmark fixture"):
@@ -40,6 +60,26 @@ class TestValidation:
         fixture = load_benchmark(str(path))
         assert fixture.name == "layers"
         assert fixture.layers == (BenchmarkLayer(1, 4, 5, 6),)
+
+    def test_str_and_pathlike_paths_accepted(self, tmp_path):
+        path = tmp_path / "layers.csv"
+        path.write_text("layer_id,M,K,N\n1,4,5,6\n")
+        assert load_benchmark(path) == load_benchmark(str(path))
+
+    def test_quoted_field_rejected(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('layer_id,M,K,N\n1,"40",40,40\n')
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(str(path))
+        assert str(exc.value) == ("benchmark 'quoted' layer row 1, column M: "
+                                  """expected a whole number in ASCII digits, got '"40"'""")
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes("# caf\u00e9\nlayer_id,M,K,N\n1,4,5,6\n".encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(str(path))
+        assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode")
 
     def test_wrong_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -150,6 +150,24 @@ class TestDerive:
         assert out == ""
         assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
+    def test_duplicate_key_in_hw_file(self, capsys, tmp_path, tiny_hw_file):
+        # The last value used to win silently: 12 registers give a 2x2x2 tile.
+        text = (tmp_path / "tiny.json").read_text()
+        bad = tmp_path / "dup.json"
+        bad.write_text(text.replace('"reuse_registers": 3,',
+                                    '"reuse_registers": 36, "reuse_registers": 12,'))
+        code, out, err = run_cli(capsys, "derive", "--hw", str(bad), "40", "40", "40")
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: duplicate JSON key 'reuse_registers'\n"
+
+    def test_non_utf8_hw_file_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"name": "caf\xe9"}')
+        code, out, err = run_cli(capsys, "derive", "--hw", str(bad), "40", "40", "40")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode ")
+        assert err.count("\n") == 1
+
     def test_malformed_hw_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -290,6 +308,14 @@ class TestSweep:
         assert out == ""
         assert err == ("error: benchmark 'bad' layer row 2, column M: expected a whole "
                        f"number in ASCII digits, got {value!r}\n")
+
+    def test_non_utf8_layer_table_is_named(self, capsys, tmp_path):
+        fixture = tmp_path / "latin.csv"
+        fixture.write_bytes(b"# caf\xe9\nlayer_id,M,K,N\n1,5,5,5\n")
+        code, out, err = run_cli(capsys, "sweep", "--hw", M4, "--fixture", str(fixture))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {fixture}: 'utf-8' codec can't decode ")
+        assert err.count("\n") == 1
 
     def test_rows_ordered_by_layer_id(self, capsys, tmp_path):
         fixture = tmp_path / "layers.csv"

@@ -101,6 +101,17 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="missing descriptor keys: \\['n'\\]"):
             ScheduleDescriptor.from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('"M": 40,', '"M": 10, "M": 999,', "M"),
+        ('"K-first": 28800,', '"K-first": 1, "K-first": 28800,', "K-first"),
+    ], ids=["field", "per-class"])
+    def test_duplicate_key_rejected(self, old, new, key):
+        # The last value used to win silently: M=999 parsed as a valid descriptor.
+        text = cube40_descriptor().to_json()
+        assert old in text
+        with pytest.raises(ValueError, match=f"^duplicate JSON key '{key}'$"):
+            ScheduleDescriptor.from_json(text.replace(old, new))
+
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(ValueError, match="nested too deeply"):
             ScheduleDescriptor.from_json('{"schema": ' + "[" * 200_000 + "]" * 200_000 + "}")

@@ -172,6 +172,26 @@ class TestDescriptorLoading:
         with pytest.raises(ValueError, match="JSON"):
             load_hardware(path)
 
+    def test_str_and_pathlike_paths_accepted(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(self.BASE))
+        assert load_hardware(str(path)) == load_hardware(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(self.BASE)[:-1] + ', "reuse_registers": 12}')
+        with pytest.raises(ValueError) as exc:
+            load_hardware(path)
+        assert str(exc.value) == f"{path}: duplicate JSON key 'reuse_registers'"
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "dev.json"
+        text = json.dumps(dict(self.BASE, name="caf\u00e9"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            load_hardware(path)
+        assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
     def test_deeply_nested_json_reported(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text("[" * 200_000 + "]" * 200_000)

@@ -7,7 +7,9 @@ The simulator (``memtile.sim``) is the one module that needs numpy, so
 ``import memtile`` and the CLI commands that count nothing must start
 without it; ``simulate`` and ``sweep`` import it when they run. The import
 checks start a fresh interpreter, since the test process has long since
-loaded memtile and numpy.
+loaded memtile and numpy. memtile reads its files without ``pathlib``,
+``importlib.resources`` or ``csv``, and only the commands that write CSV
+load ``csv``.
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import memtile
@@ -28,11 +31,17 @@ SRC = Path(memtile.__file__).resolve().parents[1]
 M4 = "cortex-m4-fp32"
 
 
-def _python(*args: str) -> tuple[int, str, str]:
+def _python(*args: str, site: bool = True) -> tuple[int, str, str]:
     """Run a fresh interpreter that finds memtile in the source tree; its exit
-    code, stdout and stderr, line endings kept (the CSV writer ends rows in CRLF)."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, *args], capture_output=True,
+    code, stdout and stderr, line endings kept (the CSV writer ends rows in CRLF).
+
+    With ``site=False`` it runs with ``-S``: no ``site`` module, so no ``.pth``
+    start-up hook in site-packages can load a module before memtile asks for
+    it. numpy's directory then goes on the path directly, without its hooks."""
+    numpy_dir = None if site else os.path.dirname(os.path.dirname(numpy.__file__))
+    path = os.pathsep.join(filter(None, [str(SRC), numpy_dir, os.environ.get("PYTHONPATH")]))
+    flags = [] if site else ["-S"]
+    result = subprocess.run([sys.executable, *flags, *args], capture_output=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=120)
     return result.returncode, result.stdout.decode(), result.stderr.decode()
 
@@ -188,6 +197,43 @@ def test_benchmark_setup_loads_no_dataclasses_inspect_or_fractions():
     code, _, err = _python("-X", "importtime", "-c", script)
     assert code == 0, err
     assert _heavy_loaded(err) == {}
+
+
+# Modules memtile reads its files without. A site-packages start-up hook may
+# load pathlib and importlib.resources before any user code runs, so these
+# checks start the interpreter with -S.
+FILE_MODULES = ("pathlib", "importlib.resources", "csv")
+
+
+@pytest.mark.parametrize("argv, loads_csv", [
+    (["derive", "--hw", M4, "40", "40", "40"], False),
+    (["select", "--hw", M4, "40", "40", "40", "-m", "4", "-k", "2", "-n", "5"], False),
+    (["roofline", "--hw", "cortex-a72", "-m", "4", "-n", "4"], False),
+    (["emit", "--hw", M4, "41", "39", "38", "--simulate"], False),
+    (["simulate", "41", "39", "38", "-m", "5", "-k", "5", "-n", "5", "--order", "NKM",
+      "--format", "json"], False),
+    (["simulate", "41", "39", "38", "-m", "5", "-k", "5", "-n", "5", "--order", "NKM",
+      "--format", "csv"], True),
+    (["sweep", "--hw", "cortex-a72", "--fixture", "mlperf-tiny"], True),
+], ids=["derive", "select", "roofline", "emit", "simulate-json", "simulate-csv", "sweep"])
+def test_plain_interpreter_cli_loads_csv_only_to_write_csv(capsys, argv, loads_csv):
+    code, out, err = _python("-X", "importtime", "-m", "memtile.cli", *argv, site=False)
+    assert (code, out, _without_importtime(err)) == (main(argv), *capsys.readouterr())
+    assert code == 0
+    expected = {"csv"} if loads_csv else set()
+    assert _imported(err) & set(FILE_MODULES) == expected
+
+
+def test_plain_interpreter_benchmark_setup_loads_no_file_modules():
+    script = ("import sys, memtile\n"
+              "for name in ('cortex-m4-fp32', 'cortex-m4-q15', 'cortex-a72'):\n"
+              "    memtile.fixture_hardware(name)\n"
+              "for name in ('mlperf-tiny', 'dlmc'):\n"
+              "    memtile.load_benchmark(name)\n"
+              f"print([m for m in {FILE_MODULES!r} if m in sys.modules])\n")
+    code, out, err = _python("-c", script, site=False)
+    assert code == 0, err
+    assert out == "[]\n"
 
 
 def test_lazy_name_is_the_simulator_function():
