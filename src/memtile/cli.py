@@ -42,7 +42,7 @@ def _tile(hw: HardwareSpec, m: int | None = None, k: int | None = None,
     return TileShape(m, k, n)
 
 
-def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool, pad: bool = False,
+def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool = False, pad: bool = False,
             simulate: bool = False, order: LoopOrder | None = None,
             ) -> tuple[Schedule, IOReport, dict, str]:
     """Pick a schedule (or take ``order``) and its IO under the count policy.
@@ -100,7 +100,7 @@ def cmd_schedule(args) -> int:
         print(desc.to_json(), end="")
         _print_note(note, beside_json=True)
         return 0
-    ai = problem.macs / io_rep.total_elems
+    ai = problem.macs / desc.total_io_elems
     ridge = ridge_point(hw)
     bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
     print(f"problem: M={problem.M} K={problem.K} N={problem.N} "
@@ -109,8 +109,8 @@ def cmd_schedule(args) -> int:
           f"(register footprint {tile.register_footprint}/{hw.reuse_registers})")
     print(f"order:   {schedule.order.value} ({schedule.inner_class.value}, "
           f"stationary {schedule.stationary} tiles)")
-    print(f"io:      {io_rep.streaming_elems} streamed + {io_rep.stationary_elems} stationary "
-          f"= {io_rep.total_elems} elems ({io_rep.total_bytes} bytes)")
+    print(f"io:      {desc.streaming_elems} streamed + {desc.stationary_elems} stationary "
+          f"= {desc.total_io_elems} elems ({desc.total_io_bytes} bytes)")
     per = ", ".join(f"{cls.value} {total}" for cls, total in per_class.items())
     print(f"classes: {per}")
     print(f"roofline: intensity {ai:.3f} MACs/elem, ridge {ridge:.3f}, "
@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     payload = {"M": problem.M, "K": problem.K, "N": problem.N,
                "order": schedule.order.value, **report.to_dict()}
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
         import csv
 
@@ -174,7 +174,7 @@ def cmd_sweep(args) -> int:
     fixture = load_benchmark(args.fixture)
     rows = _sweep_rows(hw, fixture, args.c_zero)
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     elif args.format == "text":
         widths = {col: max(len(col), *(len(str(r[col])) for r in rows)) if rows else len(col)
                   for col in _CSV_COLUMNS}
@@ -210,7 +210,7 @@ def cmd_roofline(args) -> int:
         "classification": bound,
     }
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = (f"tile {args.m}x{args.n}: intensity {ai:.4f} MACs/elem\n"
                 f"{hw.name}: ridge point {ridge:.4f} MACs/elem\n"
@@ -229,7 +229,7 @@ def cmd_emit(args) -> int:
     tile = _tile(hw, args.m, args.k, args.n)
     order = LoopOrder.parse(args.order) if args.order else None
     schedule, io_rep, per_class, note = _choose(
-        problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate, order=order)
+        problem, tile, pad=args.pad, simulate=args.simulate, order=order)
     source = emit_kernel_source(schedule, kernel_type)
     if args.out:
         _write(args.out, source)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="force a loop order instead of selecting one")
     p.add_argument("--descriptor-out", metavar="FILE",
                    help="also write the descriptor JSON here")
-    _add_flags(p, "--hw", "--out", "--c-zero")
+    _add_flags(p, "--hw", "--out")
     _add_count_policy(p)
     p.set_defaults(func=cmd_emit)
 

@@ -65,7 +65,8 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
         return super().__new__(cls, *args, **kwargs)
 
     def to_json(self) -> str:
-        return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": "),
+                          allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleDescriptor":
@@ -145,10 +146,15 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
                     ) -> ScheduleDescriptor:
     """Assemble the descriptor for one (problem, schedule, IO) outcome.
 
-    The throughput prediction is the roofline ceiling at the schedule's
-    achieved intensity, MKN MACs over the total external element traffic.
+    The stationary part of the traffic is the stationary operand's: its
+    loads, and for C its stores too; the rest is streamed. The throughput
+    prediction is the roofline ceiling at the schedule's achieved
+    intensity, MKN MACs over the total external element traffic.
     """
-    ai = problem.macs / io.total_elems
+    elems = io.total_elems
+    stationary = {"A": io.loads_a, "B": io.loads_b,
+                  "C": io.loads_c + io.stores_c}[schedule.stationary]
+    ai = problem.macs / elems
     per_class = {cls.value: total for cls, total in (per_class_totals or {}).items()}
     return ScheduleDescriptor(
         M=problem.M, K=problem.K, N=problem.N,
@@ -157,10 +163,10 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
         m=schedule.tile.m, k=schedule.tile.k, n=schedule.tile.n,
         inner_class=schedule.inner_class.value,
         stationary=schedule.stationary,
-        streaming_elems=io.streaming_elems,
-        stationary_elems=io.stationary_elems,
-        total_io_elems=io.total_elems,
-        total_io_bytes=io.total_bytes,
+        streaming_elems=elems - stationary,
+        stationary_elems=stationary,
+        total_io_elems=elems,
+        total_io_bytes=elems * problem.element_bytes,
         per_class_total_elems=per_class,
         predicted_throughput_macs_per_s=attainable_throughput(hw, ai),
     )

@@ -49,6 +49,16 @@ class HardwareSpec(namedtuple("HardwareSpec", "name reuse_registers local_memory
                            "peak_flops_per_core", "element_bytes"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be strictly positive")
+        # Every printed rate derives from these two; a non-finite one prints as Infinity.
+        try:
+            total = self.peak_flops_total
+        except OverflowError:  # an integer core count too large for a float
+            total = math.inf
+        for what, value in (("cores * peak_flops_per_core", total),
+                            ("ridge point cores * peak_flops_per_core / "
+                             "ext_bandwidth_elems_per_s", total / self.ext_bandwidth_elems_per_s)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{what} must be finite and positive, got {value!r}")
         return self
 
     @property

@@ -10,14 +10,16 @@ blocks, and with it the total external IO:
     M innermost, B tiles stationary:  KN + MK*ceil(N/n) + 2MN*ceil(K/k)
     K innermost, C tiles stationary:  MK*ceil(N/n) + KN*ceil(M/m) + 2MN
 
-Clamped edge tiles partition each operand exactly, so a streamed operand
-is fetched once per block along the dimension it does not index, and the
-counts are exact for every problem, ragged or not. The factor 2 on MN
-terms counts partial C tiles being both read and written; for K-first the
-2MN is the stationary C loaded once and stored once. On divisible
-problems the totals reduce to MKN*(1/m + 2/k) + MK and its companions.
-The access-counting simulator (memtile.sim) counts every block visit of
-the loop nest and is the independent oracle these counts are tested against.
+All of it follows from one per-operand rule. Clamped edge tiles partition
+each operand exactly, so each operand is fetched once per block along the
+dimension it does not index (A once per N block, B once per M block, C once
+per K block); the stationary operand is fetched once in all; C is stored as
+often as it is loaded; and with c_zero the first touch of each C tile skips
+its read, removing MN loads in every class. The counts are exact for every
+problem, ragged or not; on divisible ones the totals reduce to
+MKN*(1/m + 2/k) + MK and its companions. The access-counting simulator
+(memtile.sim) counts every block visit of the loop nest and returns the same
+IOReport record; it is the independent oracle these counts are tested against.
 
 Everything here is pure and exact: totals are integers, and the selection
 condition is evaluated in rational arithmetic (fractions, imported by the
@@ -127,33 +129,34 @@ class Schedule(namedtuple("Schedule", "order tile")):
         return self.inner_class.stationary
 
 
-class IOReport(namedtuple("IOReport", "streaming_elems stationary_elems element_bytes",
-                          defaults=(4,))):
-    """External element traffic split into streamed and stationary parts."""
+class IOReport(namedtuple("IOReport", "loads_a loads_b loads_c stores_c "
+                          "blocks_executed max_resident_elems")):
+    """Exact external element traffic of one schedule, per operand."""
 
     __slots__ = ()
 
     @property
     def total_elems(self) -> int:
-        return self.streaming_elems + self.stationary_elems
+        return self.loads_a + self.loads_b + self.loads_c + self.stores_c
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_elems * self.element_bytes
+    def to_dict(self) -> dict:
+        return {
+            "loads_a": self.loads_a,
+            "loads_b": self.loads_b,
+            "loads_c": self.loads_c,
+            "stores_c": self.stores_c,
+            "total_elems": self.total_elems,
+            "blocks_executed": self.blocks_executed,
+            "max_resident_elems": self.max_resident_elems,
+        }
 
 
-def _class_traffic(M: int, K: int, N: int, blocks_m, blocks_k, blocks_n,
-                   inner_class: InnerClass) -> tuple:
-    """(streamed, stationary) elements for one class, before any c_zero saving.
-
-    Each operand is fetched once per block along the dimension it does not
-    index, unless it is the stationary one, which is fetched once in all.
-    """
-    if inner_class is InnerClass.K_FIRST:
-        return M * K * blocks_n + K * N * blocks_m, 2 * M * N
-    if inner_class is InnerClass.N_FIRST:
-        return K * N * blocks_m + 2 * M * N * blocks_k, M * K
-    return M * K * blocks_n + 2 * M * N * blocks_k, K * N
+def _loads(M: int, K: int, N: int, blocks_m, blocks_k, blocks_n, stationary: str) -> tuple:
+    """(A, B, C) loads before any c_zero saving: each operand once per block
+    along the dimension it does not index, the stationary one once in all."""
+    return (M * K * (1 if stationary == "A" else blocks_n),
+            K * N * (1 if stationary == "B" else blocks_m),
+            M * N * (1 if stationary == "C" else blocks_k))
 
 
 def io_for_class(problem: MMProblem, tile: TileShape, inner_class: InnerClass,
@@ -161,19 +164,17 @@ def io_for_class(problem: MMProblem, tile: TileShape, inner_class: InnerClass,
     """Exact external IO of one class, ragged problems included.
 
     Block counts are ceilings: clamped edge tiles partition each operand
-    exactly. With c_zero the first touch of each C tile skips its read,
-    removing MN loads (from the stationary C under K-first, from the
-    streamed partial C otherwise).
+    exactly. C is stored as often as it is loaded; with c_zero the first
+    touch of each C tile skips its read, removing MN loads. The first block
+    has the largest clamped tiles, so it holds the most resident elements.
     """
     M, K, N = problem.M, problem.K, problem.N
-    streaming, stationary = _class_traffic(
-        M, K, N, -(-M // tile.m), -(-K // tile.k), -(-N // tile.n), inner_class)
-    if c_zero:
-        if inner_class is InnerClass.K_FIRST:
-            stationary -= M * N
-        else:
-            streaming -= M * N
-    return IOReport(streaming, stationary, problem.element_bytes)
+    blocks_m, blocks_k, blocks_n = -(-M // tile.m), -(-K // tile.k), -(-N // tile.n)
+    loads_a, loads_b, loads_c = _loads(M, K, N, blocks_m, blocks_k, blocks_n,
+                                       inner_class.stationary)
+    m, k, n = min(tile.m, M), min(tile.k, K), min(tile.n, N)
+    return IOReport(loads_a, loads_b, loads_c - M * N if c_zero else loads_c, loads_c,
+                    blocks_m * blocks_k * blocks_n, m * k + k * n + m * n)
 
 
 def all_class_io(problem: MMProblem, tile: TileShape,
@@ -201,8 +202,9 @@ def formula_total(M: int, K: int, N: int, m: int, k: int, n: int,
     """
     from fractions import Fraction
 
-    return sum(_class_traffic(M, K, N, Fraction(M, m), Fraction(K, k), Fraction(N, n),
-                              inner_class), Fraction(0))
+    loads_a, loads_b, loads_c = _loads(M, K, N, Fraction(M, m), Fraction(K, k),
+                                       Fraction(N, n), inner_class.stationary)
+    return loads_a + loads_b + 2 * loads_c
 
 
 def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:

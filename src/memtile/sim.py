@@ -19,9 +19,10 @@ bounds memory for every shape. The rules per visit are:
 Streamed operands physically move at vector granularity inside a block,
 but the per-block element totals are identical at tile granularity, so
 counting happens per tile. Edge blocks are clamped, never rejected. The
-counted totals equal the ceiling-count formulas in memtile.io_model
-exactly, ragged problems included; this module is the independent oracle
-those formulas are tested against, never derived from them.
+counts fill the same IOReport record that memtile.io_model.io_for_class
+computes, and equal it exactly, ragged problems included; this module is
+the independent oracle those formulas are tested against, never derived
+from them.
 
 A row-stationary variant that keeps whole output rows resident is the
 m = 1 special case of the K-first schedule and is not modeled separately.
@@ -48,28 +49,6 @@ from .io_model import (
     Schedule,
 )
 from .tiling import CBBlock, TileShape
-
-
-class SimReport(namedtuple("SimReport", "loads_a loads_b loads_c stores_c "
-                           "blocks_executed max_resident_elems")):
-    """Exact external access counts from one simulated schedule."""
-
-    __slots__ = ()
-
-    @property
-    def total_elems(self) -> int:
-        return self.loads_a + self.loads_b + self.loads_c + self.stores_c
-
-    def to_dict(self) -> dict:
-        return {
-            "loads_a": self.loads_a,
-            "loads_b": self.loads_b,
-            "loads_c": self.loads_c,
-            "stores_c": self.stores_c,
-            "total_elems": self.total_elems,
-            "blocks_executed": self.blocks_executed,
-            "max_resident_elems": self.max_resident_elems,
-        }
 
 
 class StreamTimingReport(namedtuple("StreamTimingReport",
@@ -100,7 +79,7 @@ def _step_dtype(largest: int) -> type:
     return object
 
 
-def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> SimReport:
+def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> IOReport:
     # One vector step broadcasts a run of flattened (outer, middle) rows
     # against a span of the absolute inner index, at most _STEP_VISITS
     # visits, and charges each visit its own clamped tile sizes. A charge
@@ -148,7 +127,7 @@ def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> Sim
                 stores_c += written
             max_resident = max(max_resident, int((a_sz + b_sz + c_sz).max()))
     assert max_resident <= tile_cap, "resident footprint exceeded one block's tiles"
-    return SimReport(
+    return IOReport(
         loads_a=loads_a,
         loads_b=loads_b,
         loads_c=loads_c,
@@ -159,7 +138,7 @@ def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> Sim
 
 
 def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = False,
-                      ) -> SimReport:
+                      ) -> IOReport:
     """Count every external element access for one schedule.
 
     Ragged problems are fine; edge tiles are clamped. Only accesses are
@@ -169,7 +148,7 @@ def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = 
 
 
 def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = False,
-                     ) -> tuple[Schedule, SimReport]:
+                     ) -> tuple[Schedule, IOReport]:
     """Simulate all six loop orders and return the cheapest schedule.
 
     The search-based oracle for select_schedule: it must pick the same
@@ -180,7 +159,7 @@ def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = Fals
     than silently picking one. Class ties break K-first, M-first, N-first,
     and the winning class is represented by its canonical scheme.
     """
-    by_class: dict[InnerClass, SimReport] = {}
+    by_class: dict[InnerClass, IOReport] = {}
     for order in LoopOrder:
         report = simulate_schedule(problem, Schedule(order, tile), c_zero=c_zero)
         seen = by_class.get(order.inner_class)
@@ -190,18 +169,6 @@ def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = Fals
         by_class[order.inner_class] = report
     winner = min(CLASS_PRIORITY, key=lambda cls: by_class[cls].total_elems)
     return Schedule(CANONICAL_ORDER[winner], tile), by_class[winner]
-
-
-def io_report_from_sim(report: SimReport, inner_class: InnerClass,
-                       element_bytes: int = 4) -> IOReport:
-    """Split simulated counts into the streamed/stationary decomposition."""
-    if inner_class is InnerClass.K_FIRST:
-        stationary = report.loads_c + report.stores_c
-    elif inner_class is InnerClass.M_FIRST:
-        stationary = report.loads_b
-    else:
-        stationary = report.loads_a
-    return IOReport(report.total_elems - stationary, stationary, element_bytes)
 
 
 def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,

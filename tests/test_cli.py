@@ -6,10 +6,11 @@ import random
 import pytest
 
 from memtile.cli import build_parser, main
-from memtile.emit import ScheduleDescriptor
+from memtile.emit import ScheduleDescriptor, emit_descriptor
 from memtile.hardware import fixture_hardware
-from memtile.io_model import CANONICAL_ORDER, InnerClass, LoopOrder, MMProblem, Schedule
-from memtile.sim import brute_force_best, io_report_from_sim, simulate_schedule
+from memtile.io_model import (CANONICAL_ORDER, InnerClass, LoopOrder, MMProblem, Schedule,
+                               io_for_class)
+from memtile.sim import brute_force_best, simulate_schedule
 from memtile.tiling import TileShape, derive_square_tile
 
 M4 = "cortex-m4-fp32"
@@ -88,16 +89,12 @@ class TestDerive:
                 desc = ScheduleDescriptor.from_json(out)
                 problem = MMProblem(*dims, hw.element_bytes)
                 schedule, rep = brute_force_best(problem, tile, c_zero=c_zero)
-                split = io_report_from_sim(rep, schedule.inner_class)
                 per_class = {
-                    cls.value: simulate_schedule(problem, Schedule(CANONICAL_ORDER[cls], tile),
-                                                 c_zero=c_zero).total_elems
+                    cls: simulate_schedule(problem, Schedule(CANONICAL_ORDER[cls], tile),
+                                           c_zero=c_zero).total_elems
                     for cls in InnerClass
                 }
-                assert desc.order == schedule.order.value
-                assert (desc.streaming_elems, desc.stationary_elems) \
-                    == (split.streaming_elems, split.stationary_elems)
-                assert desc.per_class_total_elems == per_class
+                assert desc == emit_descriptor(problem, schedule, rep, hw, per_class)
 
     def test_three_register_device_uses_unit_tile(self, capsys, tiny_hw_file):
         code, out, _ = run_cli(capsys, "derive", "--hw", tiny_hw_file, "7", "7", "7")
@@ -150,6 +147,22 @@ class TestDerive:
         assert out == ""
         assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bandwidth, argv", [
+        (1e308, ["derive", "--format", "json", "40", "40", "40"]),
+        (64e6, ["roofline", "--format", "json", "-m", "5", "-n", "5"]),
+        (1e-320, ["derive", "40", "40", "40"]),
+    ])
+    def test_hw_file_with_infinite_rates_is_rejected(self, capsys, tmp_path, bandwidth, argv):
+        # Each used to exit 0 printing Infinity or inf for a throughput or ridge point.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "name": "huge", "reuse_registers": 36, "local_memory_elems": 4096,
+            "ext_bandwidth_elems_per_s": bandwidth, "peak_flops_per_core": 1e308,
+            "cores": 4, "element_bytes": 4}))
+        code, out, err = run_cli(capsys, argv[0], "--hw", str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: cores * peak_flops_per_core must be finite and positive, got inf\n"
+
     def test_duplicate_key_in_hw_file(self, capsys, tmp_path, tiny_hw_file):
         # The last value used to win silently: 12 registers give a 2x2x2 tile.
         text = (tmp_path / "tiny.json").read_text()
@@ -196,6 +209,25 @@ class TestSimulate:
                                 Schedule(LoopOrder.NKM, TileShape(5, 5, 5)))
         assert payload["total_elems"] == rep.total_elems == 6496
         assert payload["blocks_executed"] == rep.blocks_executed
+        # The model predicts every count the command prints, ragged or not.
+        rng = random.Random(17)
+        for _ in range(20):
+            dims = tile = (1, 1, 1)
+            while all(d % t == 0 for d, t in zip(dims, tile)):
+                dims = [rng.randint(1, 30) for _ in range(3)]
+                tile = TileShape(*(rng.randint(1, 8) for _ in range(3)))
+            for order in LoopOrder:
+                for c_zero in (False, True):
+                    code, out, _ = run_cli(capsys, "simulate", *map(str, dims),
+                                           "-m", str(tile.m), "-k", str(tile.k),
+                                           "-n", str(tile.n), "--order", order.name,
+                                           "--format", "json",
+                                           *(["--c-zero"] if c_zero else []))
+                    assert code == 0
+                    expected = io_for_class(MMProblem(*dims), tile, order.inner_class,
+                                            c_zero=c_zero).to_dict()
+                    assert json.loads(out) == {"M": dims[0], "K": dims[1], "N": dims[2],
+                                               "order": order.value, **expected}
 
     def test_compact_order_spelling_and_csv(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "10", "10", "10",
@@ -439,7 +471,7 @@ OPTIONS = {
     "simulate": {"--out", "--format", "--c-zero", "-m", "-k", "-n", "--order"},
     "sweep": {"--hw", "--out", "--format", "--c-zero", "--fixture"},
     "roofline": {"--hw", "--out", "--format", "-m", "-n"},
-    "emit": {"--hw", "--out", "--pad", "--simulate", "--c-zero", "-m", "-k", "-n",
+    "emit": {"--hw", "--out", "--pad", "--simulate", "-m", "-k", "-n",
              "--order", "--descriptor-out"},
 }
 
@@ -472,7 +504,7 @@ class TestFlags:
         ("simulate", ["--hw", M4]), ("simulate", ["--pad"]), ("simulate", ["--simulate"]),
         ("sweep", ["--pad"]), ("sweep", ["--simulate"]),
         ("roofline", ["--pad"]), ("roofline", ["--simulate"]), ("roofline", ["--c-zero"]),
-        ("emit", ["--format", "json"]), ("emit", ["--dtype", "q15"]),
+        ("emit", ["--format", "json"]), ("emit", ["--dtype", "q15"]), ("emit", ["--c-zero"]),
     ])
     def test_flag_the_subcommand_ignores_is_a_usage_error(self, capsys, command, flag):
         assert usage_error(VALID[command] + flag) == 2

@@ -62,6 +62,7 @@ class TestDescriptor:
 
     def test_cube40_totals(self):
         desc = cube40_descriptor()
+        assert (desc.streaming_elems, desc.stationary_elems) == (25600, 3200)
         assert desc.total_io_elems == 28800
         assert desc.total_io_bytes == 28800 * 4
         assert desc.per_class_total_elems == {"K-first": 28800, "M-first": 40000,

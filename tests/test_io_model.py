@@ -6,6 +6,7 @@ import pytest
 from memtile.io_model import (
     CANONICAL_ORDER,
     InnerClass,
+    IOReport,
     LoopOrder,
     MMProblem,
     Schedule,
@@ -51,8 +52,8 @@ class TestClosedForms:
     def test_single_block_n_first(self):
         p = MMProblem(5, 5, 5)
         rep = io_for_class(p, T5, InnerClass.N_FIRST)
-        assert rep.streaming_elems == 2 * 25 + 25
-        assert rep.stationary_elems == 25
+        assert rep == IOReport(loads_a=25, loads_b=25, loads_c=25, stores_c=25,
+                               blocks_executed=1, max_resident_elems=75)
         assert rep.total_elems == 100
 
     def test_single_block_m_first(self):
@@ -66,8 +67,8 @@ class TestClosedForms:
     def test_n_first_skewed(self):
         # 64 blocks of (2mn + nk) = 75, plus MK = 200
         rep = io_for_class(MMProblem(40, 5, 40), T5, InnerClass.N_FIRST)
-        assert rep.streaming_elems == 4800
-        assert rep.stationary_elems == 200
+        assert rep == IOReport(loads_a=200, loads_b=1600, loads_c=1600, stores_c=1600,
+                               blocks_executed=64, max_resident_elems=75)
         assert rep.total_elems == 5000
 
     def test_m_first_cube(self):
@@ -78,10 +79,6 @@ class TestClosedForms:
 
     def test_k_first_cube(self):
         assert io_for_class(MMProblem(40, 40, 40), T5, InnerClass.K_FIRST).total_elems == 28800
-
-    def test_total_bytes(self):
-        rep = io_for_class(MMProblem(40, 40, 40, element_bytes=4), T5, InnerClass.K_FIRST)
-        assert rep.total_bytes == 28800 * 4
 
     def test_ragged_counts_exact(self):
         # the hand count of tests/test_sim.py::test_ragged_counts_by_hand

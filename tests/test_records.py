@@ -12,7 +12,7 @@ from memtile.benchmarks import BenchmarkFixture, BenchmarkLayer
 from memtile.emit import ScheduleDescriptor
 from memtile.hardware import HardwareSpec
 from memtile.io_model import IOReport, LoopOrder, MMProblem, Schedule
-from memtile.sim import SimReport, StreamTimingReport
+from memtile.sim import StreamTimingReport
 from memtile.tiling import CBBlock, TileShape
 
 LAYERS = (BenchmarkLayer(1, 2, 3, 4), BenchmarkLayer(layer_id=2, M=5, K=6, N=7))
@@ -28,15 +28,14 @@ RECORDS = [
     (CBBlock, dict(p=2, m=3, k=4, n=5)),
     (MMProblem, dict(M=40, K=41, N=42, element_bytes=2)),
     (Schedule, dict(order=LoopOrder.NKM, tile=TileShape(2, 3, 4))),
-    (IOReport, dict(streaming_elems=10, stationary_elems=20, element_bytes=2)),
+    (IOReport, dict(loads_a=1, loads_b=2, loads_c=3, stores_c=4, blocks_executed=5,
+                    max_resident_elems=6)),
     (HardwareSpec, dict(name="dev", reuse_registers=36, local_memory_elems=4096,
                         ext_bandwidth_elems_per_s=64e6, peak_flops_per_core=32e6,
                         cores=2, element_bytes=2, notes="n")),
     (BenchmarkLayer, dict(layer_id=1, M=2, K=3, N=4)),
     (BenchmarkFixture, dict(name="t", layers=LAYERS)),
     (ScheduleDescriptor, DESCRIPTOR),
-    (SimReport, dict(loads_a=1, loads_b=2, loads_c=3, stores_c=4, blocks_executed=5,
-                     max_resident_elems=6)),
     (StreamTimingReport, dict(compute_time_per_row=1.5, writeback_time_per_row=0.5,
                               hidden=True)),
 ]
@@ -81,7 +80,6 @@ def test_repr_names_every_field(cls, kwargs):
 
 def test_defaults():
     assert MMProblem(1, 2, 3).element_bytes == 4
-    assert IOReport(1, 2).element_bytes == 4
     hw = HardwareSpec("dev", 36, 4096, 64e6, 32e6)
     assert (hw.cores, hw.element_bytes, hw.notes) == (1, 4, "")
     required = {k: v for k, v in DESCRIPTOR.items()
@@ -107,12 +105,27 @@ def test_defaults():
      "ext_bandwidth_elems_per_s must be strictly positive"),
     (lambda: HardwareSpec("d", 36, 4096, 1.0, 1.0, element_bytes=-1),
      "element_bytes must be strictly positive"),
+    (lambda: HardwareSpec("d", 36, 4096, 1e308, 1e308, cores=4),
+     r"cores \* peak_flops_per_core must be finite and positive, got inf"),
+    (lambda: HardwareSpec("d", 36, 4096, 1.0, 1.0, cores=10**400),
+     r"cores \* peak_flops_per_core must be finite and positive, got inf"),
+    (lambda: HardwareSpec("d", 36, 4096, 1.0, float("nan")),
+     r"cores \* peak_flops_per_core must be finite and positive, got nan"),
+    (lambda: HardwareSpec("d", 36, 4096, 1e-320, 1e6),
+     r"ridge point cores \* peak_flops_per_core / ext_bandwidth_elems_per_s must be finite "
+     r"and positive, got inf"),
+    (lambda: HardwareSpec(name="d", reuse_registers=36, local_memory_elems=4096,
+                          ext_bandwidth_elems_per_s=1e308, peak_flops_per_core=1e-320),
+     r"ridge point cores \* peak_flops_per_core / ext_bandwidth_elems_per_s must be finite "
+     r"and positive, got 0.0"),
     (lambda: BenchmarkFixture("t", (LAYERS[0], LAYERS[0])),
      "benchmark 't' has duplicate layer ids"),
     (lambda: BenchmarkFixture(name="t", layers=(BenchmarkLayer(3, 1, 0, 1),)),
      "benchmark 't' layer 3 has non-positive dims"),
 ], ids=["tile", "tile-keywords", "cb-p", "cb-keywords", "problem", "problem-element-bytes",
         "hw-registers", "hw-cores", "hw-bandwidth-keywords", "hw-element-bytes",
+        "hw-total-peak-inf", "hw-total-peak-overflow", "hw-total-peak-nan", "hw-ridge-inf",
+        "hw-ridge-zero-keywords",
         "fixture-duplicate-ids", "fixture-dims-keywords"])
 def test_validated_types_reject_bad_values(build, match):
     with pytest.raises(ValueError, match=match):

@@ -8,9 +8,11 @@ import pytest
 from memtile import sim
 from memtile.benchmarks import benchmark_names
 from memtile.cli import main
+from memtile.emit import emit_descriptor
 from memtile.hardware import HardwareSpec, fixture_hardware, fixture_names
 from memtile.io_model import (
     InnerClass,
+    IOReport,
     LoopOrder,
     MMProblem,
     Schedule,
@@ -21,7 +23,6 @@ from memtile.sim import (
     brute_force_best,
     check_streaming_hiding,
     interpret_kernel,
-    io_report_from_sim,
     measure_cake_bw,
     simulate_schedule,
 )
@@ -95,13 +96,18 @@ class TestOracleEquivalence:
                 assert rep1 == rep2
 
     def test_stream_stationary_split_matches_formulas(self):
+        # The descriptor splits off the stationary operand's traffic: A or B
+        # loaded once, or C loaded once and stored once.
         p = MMProblem(40, 20, 35)
+        stationary = {InnerClass.N_FIRST: p.M * p.K, InnerClass.M_FIRST: p.K * p.N,
+                      InnerClass.K_FIRST: 2 * p.M * p.N}
+        hw = make_hw(64e6, 64e6)
         for cls, orders in ORDERS_BY_CLASS.items():
-            rep = simulate_schedule(p, Schedule(orders[0], T5))
-            expected = io_for_class(p, T5, cls)
-            split = io_report_from_sim(rep, cls, p.element_bytes)
-            assert split.streaming_elems == expected.streaming_elems
-            assert split.stationary_elems == expected.stationary_elems
+            schedule = Schedule(orders[0], T5)
+            counted = emit_descriptor(p, schedule, simulate_schedule(p, schedule), hw)
+            assert counted == emit_descriptor(p, schedule, io_for_class(p, T5, cls), hw)
+            assert counted.stationary_elems == stationary[cls]
+            assert counted.streaming_elems == counted.total_io_elems - stationary[cls]
 
 
 class TestRaggedProblems:
@@ -151,10 +157,9 @@ class TestRaggedOracle:
         for p, t in self.ragged_cases(seed=2024, count=1000):
             for c_zero in (False, True):
                 for order in LoopOrder:
-                    rep = simulate_schedule(p, Schedule(order, t), c_zero=c_zero)
-                    counted = io_report_from_sim(rep, order.inner_class, p.element_bytes)
-                    exact = io_for_class(p, t, order.inner_class, c_zero=c_zero)
-                    assert exact == counted, (p, t, order, c_zero)
+                    assert io_for_class(p, t, order.inner_class, c_zero=c_zero) \
+                        == simulate_schedule(p, Schedule(order, t), c_zero=c_zero), \
+                        (p, t, order, c_zero)
 
     def test_selection_matches_brute_force(self):
         for p, t in self.ragged_cases(seed=7, count=300):
@@ -197,7 +202,7 @@ def walk_visits(problem, schedule, c_zero):
                     stores_c += c
                 blocks += 1
                 max_resident = max(max_resident, a + b + c)
-    return sim.SimReport(loads_a, loads_b, loads_c, stores_c, blocks, max_resident)
+    return IOReport(loads_a, loads_b, loads_c, stores_c, blocks, max_resident)
 
 
 class TestVectorCounter:
