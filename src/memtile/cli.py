@@ -16,7 +16,6 @@ from .benchmarks import load_benchmark
 from .emit import element_type, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import (
-    DivisibilityError,
     IOReport,
     LoopOrder,
     MMProblem,
@@ -59,7 +58,7 @@ def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool = False, pad: b
             basis = pad_to_tiles(problem, tile)
             note = f"padded to {basis.M}x{basis.K}x{basis.N} for closed-form IO"
         else:
-            raise DivisibilityError(
+            raise ValueError(
                 f"tile {tile.key()} does not divide {problem.M}x{problem.K}x{problem.N}; "
                 "pass --pad for padded closed-form IO or --simulate for exact ragged counts")
     if order is None:
@@ -231,11 +230,11 @@ def cmd_emit(args) -> int:
     schedule, io_rep, per_class, note = _choose(
         problem, tile, pad=args.pad, simulate=args.simulate, order=order)
     source = emit_kernel_source(schedule, kernel_type)
+    desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
     if args.out:
         _write(args.out, source)
     else:
         print(source, end="")
-    desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
     if args.descriptor_out:
         _write(args.descriptor_out, desc.to_json())
     if args.out:

@@ -53,16 +53,10 @@ _READERS = {int: _integer, float: _number, str: _string}
 
 
 class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
-                                    defaults=(0.0, SCHEMA_VERSION))):
+                                    defaults=(SCHEMA_VERSION,))):
     """Flat, versioned record of a derived schedule; the "v1" JSON schema."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ScheduleDescriptor:
-        # per_class_total_elems defaults to a new dict each time, never a shared one.
-        if len(args) <= cls._fields.index("per_class_total_elems"):
-            kwargs.setdefault("per_class_total_elems", {})
-        return super().__new__(cls, *args, **kwargs)
 
     def to_json(self) -> str:
         return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": "),
@@ -149,12 +143,16 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
     The stationary part of the traffic is the stationary operand's: its
     loads, and for C its stores too; the rest is streamed. The throughput
     prediction is the roofline ceiling at the schedule's achieved
-    intensity, MKN MACs over the total external element traffic.
+    intensity, MKN MACs over the total external element traffic; an
+    intensity past the float range is a ValueError.
     """
     elems = io.total_elems
     stationary = {"A": io.loads_a, "B": io.loads_b,
                   "C": io.loads_c + io.stores_c}[schedule.stationary]
-    ai = problem.macs / elems
+    try:
+        ai = problem.macs / elems
+    except OverflowError:
+        raise ValueError("arithmetic intensity MKN/(total IO) is too large for a float") from None
     per_class = {cls.value: total for cls, total in (per_class_totals or {}).items()}
     return ScheduleDescriptor(
         M=problem.M, K=problem.K, N=problem.N,

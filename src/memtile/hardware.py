@@ -127,7 +127,10 @@ def hardware_from_dict(raw: dict) -> HardwareSpec:
     if "ext_bandwidth_elems_per_s" in raw:
         bandwidth = _number(raw, "ext_bandwidth_elems_per_s")
     else:
-        bandwidth = _number(raw, "ext_bandwidth_bytes_per_s") / element_bytes
+        try:
+            bandwidth = _number(raw, "ext_bandwidth_bytes_per_s") / element_bytes
+        except OverflowError:  # an element width too large for a float: the rate rounds to 0
+            bandwidth = 0.0
 
     return HardwareSpec(
         name=_string(raw, "name"),

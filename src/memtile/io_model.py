@@ -23,7 +23,7 @@ IOReport record; it is the independent oracle these counts are tested against.
 
 Everything here is pure and exact: totals are integers, and the selection
 condition is evaluated in rational arithmetic (fractions, imported by the
-two functions that use it). The records are immutable tuples.
+one function that uses it). The records are immutable tuples.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from collections import namedtuple
 from enum import Enum
 
 from .tiling import TileShape
-
-
-class DivisibilityError(ValueError):
-    """Raised by the CLI for a ragged problem given without --pad or --simulate."""
 
 
 class InnerClass(Enum):
@@ -151,27 +147,23 @@ class IOReport(namedtuple("IOReport", "loads_a loads_b loads_c stores_c "
         }
 
 
-def _loads(M: int, K: int, N: int, blocks_m, blocks_k, blocks_n, stationary: str) -> tuple:
-    """(A, B, C) loads before any c_zero saving: each operand once per block
-    along the dimension it does not index, the stationary one once in all."""
-    return (M * K * (1 if stationary == "A" else blocks_n),
-            K * N * (1 if stationary == "B" else blocks_m),
-            M * N * (1 if stationary == "C" else blocks_k))
-
-
 def io_for_class(problem: MMProblem, tile: TileShape, inner_class: InnerClass,
                  *, c_zero: bool = False) -> IOReport:
     """Exact external IO of one class, ragged problems included.
 
     Block counts are ceilings: clamped edge tiles partition each operand
-    exactly. C is stored as often as it is loaded; with c_zero the first
-    touch of each C tile skips its read, removing MN loads. The first block
-    has the largest clamped tiles, so it holds the most resident elements.
+    exactly. Each operand is loaded once per block along the dimension it
+    does not index, the stationary one once in all. C is stored as often as
+    it is loaded; with c_zero the first touch of each C tile skips its read,
+    removing MN loads. The first block has the largest clamped tiles, so it
+    holds the most resident elements.
     """
     M, K, N = problem.M, problem.K, problem.N
     blocks_m, blocks_k, blocks_n = -(-M // tile.m), -(-K // tile.k), -(-N // tile.n)
-    loads_a, loads_b, loads_c = _loads(M, K, N, blocks_m, blocks_k, blocks_n,
-                                       inner_class.stationary)
+    stationary = inner_class.stationary
+    loads_a = M * K * (1 if stationary == "A" else blocks_n)
+    loads_b = K * N * (1 if stationary == "B" else blocks_m)
+    loads_c = M * N * (1 if stationary == "C" else blocks_k)
     m, k, n = min(tile.m, M), min(tile.k, K), min(tile.n, N)
     return IOReport(loads_a, loads_b, loads_c - M * N if c_zero else loads_c, loads_c,
                     blocks_m * blocks_k * blocks_n, m * k + k * n + m * n)
@@ -193,44 +185,26 @@ def select_schedule(problem: MMProblem, tile: TileShape, *, c_zero: bool = False
     return Schedule(order=CANONICAL_ORDER[winner], tile=tile)
 
 
-def formula_total(M: int, K: int, N: int, m: int, k: int, n: int,
-                  inner_class: InnerClass) -> Fraction:
-    """The io_for_class total at rational block counts M/m, K/k, N/n.
-
-    This is the continuous relaxation the selection condition works in; it
-    equals the exact count when the tile divides the problem.
-    """
-    from fractions import Fraction
-
-    loads_a, loads_b, loads_c = _loads(M, K, N, Fraction(M, m), Fraction(K, k),
-                                       Fraction(N, n), inner_class.stationary)
-    return loads_a + loads_b + 2 * loads_c
-
-
 def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
     """True iff an M-first schedule is no worse than both K-first and N-first.
 
-    Evaluates the pair of inequalities
+    Evaluates the pair of inequalities, multiplied out,
 
-        K <= 2M / (1 + M*(2/k - 1/m))      (M-first vs K-first)
-        N <=  M / (1 + M*(1/n - 1/m))      (M-first vs N-first)
+        K * (1 + M*(2/k - 1/m)) <= 2M      (M-first vs K-first)
+        N * (1 + M*(1/n - 1/m)) <=  M      (M-first vs N-first)
 
-    in exact rationals. When a denominator is not positive the division form
-    is degenerate (the corresponding inequality then holds for every K or N),
-    so the comparison falls back to the class totals directly; either path is
-    algebraically equivalent to comparing the three formula_total values.
+    in exact rationals. Each is the difference of two class totals at the
+    rational block counts M/m, K/k, N/n, divided by N or by K; both are
+    positive, so the form holds for every tile, whatever the sign of the
+    bracket. On divisible problems it agrees with comparing the exact
+    totals of io_for_class.
     """
     from fractions import Fraction
 
     M, K, N = problem.M, problem.K, problem.N
     m, k, n = tile.m, tile.k, tile.n
-    den_k = 1 + M * (Fraction(2, k) - Fraction(1, m))
-    den_n = 1 + M * (Fraction(1, n) - Fraction(1, m))
-    if den_k > 0 and den_n > 0:
-        return K <= Fraction(2 * M) / den_k and N <= Fraction(M) / den_n
-    m_total = formula_total(M, K, N, m, k, n, InnerClass.M_FIRST)
-    return (m_total <= formula_total(M, K, N, m, k, n, InnerClass.K_FIRST)
-            and m_total <= formula_total(M, K, N, m, k, n, InnerClass.N_FIRST))
+    return (K * (1 + M * (Fraction(2, k) - Fraction(1, m))) <= 2 * M
+            and N * (1 + M * (Fraction(1, n) - Fraction(1, m))) <= M)
 
 
 def pad_to_tiles(problem: MMProblem, tile: TileShape) -> MMProblem:

@@ -79,7 +79,13 @@ def _step_dtype(largest: int) -> type:
     return object
 
 
-def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> IOReport:
+def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = False,
+                      ) -> IOReport:
+    """Count every external element access for one schedule.
+
+    Ragged problems are fine; edge tiles are clamped. Only accesses are
+    counted; interpret_kernel computes the product.
+    """
     # One vector step broadcasts a run of flattened (outer, middle) rows
     # against a span of the absolute inner index, at most _STEP_VISITS
     # visits, and charges each visit its own clamped tile sizes. A charge
@@ -137,16 +143,6 @@ def _count_accesses(problem: MMProblem, schedule: Schedule, c_zero: bool) -> IOR
     )
 
 
-def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = False,
-                      ) -> IOReport:
-    """Count every external element access for one schedule.
-
-    Ragged problems are fine; edge tiles are clamped. Only accesses are
-    counted; interpret_kernel computes the product.
-    """
-    return _count_accesses(problem, schedule, c_zero)
-
-
 def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = False,
                      ) -> tuple[Schedule, IOReport]:
     """Simulate all six loop orders and return the cheapest schedule.
@@ -193,21 +189,20 @@ def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
     return StreamTimingReport(compute, writeback, hidden)
 
 
-def measure_cake_bw(p_cores: int, block: CBBlock, hw: HardwareSpec) -> float:
+def measure_cake_bw(block: CBBlock, hw: HardwareSpec) -> float:
     """Off-chip bandwidth of one simulated CB block: IO / time.
 
     One pm x k x pn block streams pmk + pnk input elements and performs
     pm*k*pn MACs at an aggregate rate of p * f. Evaluated in exact
     rationals, so the p factors cancel identically and the result equals
-    cake_offchip_bw(m, n, f) bit for bit, independent of p_cores.
+    cake_offchip_bw(m, n, f) bit for bit, independent of p.
     """
     from fractions import Fraction
 
-    if p_cores != block.p:
-        raise ValueError(f"core count {p_cores} does not match block's p={block.p}")
-    io = p_cores * block.m * block.k + p_cores * block.n * block.k
-    macs = (p_cores * block.m) * block.k * (p_cores * block.n)
-    time = Fraction(macs) / (p_cores * Fraction(hw.peak_flops_per_core))
+    p = block.p
+    io = p * block.m * block.k + p * block.n * block.k
+    macs = (p * block.m) * block.k * (p * block.n)
+    time = Fraction(macs) / (p * Fraction(hw.peak_flops_per_core))
     return float(Fraction(io) / time)
 
 

@@ -79,11 +79,14 @@ def arithmetic_intensity_of_tile(m: int, n: int) -> float:
     """MACs per streamed input element for an m x n accumulator tile: mn/(m+n).
 
     Int true division is correctly rounded, so this is the nearest float to
-    the exact rational.
+    the exact rational; past the float range it is a ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("tile dims must be >= 1")
-    return m * n / (m + n)
+    try:
+        return m * n / (m + n)
+    except OverflowError:
+        raise ValueError("tile arithmetic intensity mn/(m+n) is too large for a float") from None
 
 
 def derive_square_tile(reuse_registers: int) -> int:

@@ -120,7 +120,7 @@ def test_criterion_4_cake_bandwidth_invariance():
         for p in (1, 2, 4, 8):
             block = derive_cake_block(p, 100 * (2 * p + p * p))
             ok &= block.m == 10
-            measured = measure_cake_bw(p, block, hw)
+            measured = measure_cake_bw(block, hw)
             ok &= measured == cake_offchip_bw(block.m, block.n, f)
             values.add(measured)
         ok &= len(values) == 1

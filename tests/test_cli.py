@@ -485,6 +485,20 @@ VALID = {
     "emit": ["emit", "--hw", M4, "40", "40", "40"],
 }
 
+HUGE = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roofline", "--hw", "cortex-a72", "-m", HUGE, "-n", HUGE],
+     "tile arithmetic intensity mn/(m+n) is too large for a float"),
+    (["select", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
+     "arithmetic intensity MKN/(total IO) is too large for a float"),
+    (["emit", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
+     "arithmetic intensity MKN/(total IO) is too large for a float"),
+], ids=["roofline", "select", "emit"])
+def test_intensity_past_float_range_is_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
 
 def usage_error(argv):
     with pytest.raises(SystemExit) as exc:

@@ -157,6 +157,14 @@ class TestDescriptorLoading:
         with pytest.raises(ValueError, match="finite"):
             hardware_from_dict(raw)
 
+    @pytest.mark.parametrize("element_bytes", [2 ** 1100, 10 ** 400])
+    def test_byte_bandwidth_past_float_range_rounds_to_zero(self, element_bytes):
+        raw = dict(self.BASE, element_bytes=element_bytes)
+        del raw["ext_bandwidth_elems_per_s"]
+        raw["ext_bandwidth_bytes_per_s"] = 256e6
+        with pytest.raises(ValueError, match="ext_bandwidth_elems_per_s must be strictly positive"):
+            hardware_from_dict(raw)
+
     def test_integral_float_accepted_for_integer_field(self):
         hw = hardware_from_dict(dict(self.BASE, reuse_registers=36.0))
         assert hw.reuse_registers == 36 and isinstance(hw.reuse_registers, int)

@@ -213,7 +213,7 @@ class TestVectorCounter:
         for order in orders:
             schedule = Schedule(order, tile)
             for c_zero in (False, True):
-                assert sim._count_accesses(problem, schedule, c_zero) \
+                assert simulate_schedule(problem, schedule, c_zero=c_zero) \
                     == walk_visits(problem, schedule, c_zero), (problem, tile, order, c_zero)
 
     def test_random_ragged_problems(self):
@@ -370,17 +370,13 @@ class TestStreamingHiding:
 class TestCakeBandwidth:
     def test_unit_block(self):
         hw = make_hw(1.0, 1.0)
-        assert measure_cake_bw(1, CBBlock(1, 1, 1, 1), hw) == 2.0
+        assert measure_cake_bw(CBBlock(1, 1, 1, 1), hw) == 2.0
 
     def test_equals_formula_and_core_invariant(self):
         hw = make_hw(100.0, 1.0)
         values = []
         for p in (1, 2, 4, 8):
             blk = derive_cake_block(p, 100 * (2 * p + p * p))
-            values.append(measure_cake_bw(p, blk, hw))
+            values.append(measure_cake_bw(blk, hw))
             assert values[-1] == cake_offchip_bw(blk.m, blk.n, 100.0)
         assert len(set(values)) == 1
-
-    def test_core_count_must_match_block(self):
-        with pytest.raises(ValueError, match="does not match"):
-            measure_cake_bw(2, CBBlock(4, 10, 10, 10), make_hw(1.0, 1.0))
