@@ -1,5 +1,9 @@
 """Command-line front end: derive, select, simulate, sweep, roofline, emit.
 
+Each command returns its whole answer (an ``Answer``), and only ``main``
+writes it: the ``--out``/``--descriptor-out`` files, then stdout, then the
+count note on stderr. A command that fails prints just its ``error:`` line.
+
 Only ``simulate`` and ``sweep`` count accesses, so only they import the
 simulator, and with it numpy; the other commands start without it. Likewise
 only ``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from .benchmarks import load_benchmark
@@ -25,6 +30,9 @@ from .io_model import (
     select_schedule,
 )
 from .tiling import TileShape, arithmetic_intensity_of_tile, derive_square_tile
+
+# What each command returns: stdout text, {path: text} to write, and a note for stderr.
+Answer = tuple[str, dict[str, str], str]
 
 _CSV_COLUMNS = ["layer_id", "M", "K", "N", "order", "m", "k", "n",
                 "io_analytic", "io_simulated", "pred_throughput"]
@@ -70,22 +78,23 @@ def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool = False, pad: b
     return schedule, reports[schedule.inner_class], per_class, note
 
 
-def _write(path: str, text: str) -> None:
-    """Write an ``--out`` artifact as UTF-8."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+def _printable(**values: object) -> None:
+    """Reject, by name, the first value holding an integer too long for Python
+    to print in decimal (``sys.get_int_max_str_digits()``)."""
+    for name, value in values.items():
+        try:
+            str(value)
+        except ValueError:
+            raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                             "too many to print") from None
 
 
-def _print_note(note: str, beside_json: bool) -> None:
-    """Print the count note as the last line of text output, or on stderr
-    beside JSON, which must stay parseable: padded counts never pass for exact."""
-    if note and beside_json:
-        print(f"note: {note}", file=sys.stderr)
-    elif note:
-        print(f"note:    {note}")
+def _answer(text: str, out: str | None) -> Answer:
+    """``text`` on stdout, and in the ``--out`` file when one is given; no note."""
+    return text, {out: text} if out else {}, ""
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> Answer:
     """derive and select: one schedule, on the given tile or else the square one."""
     hw = resolve_hardware(args.hw)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
@@ -93,32 +102,43 @@ def cmd_schedule(args) -> int:
     schedule, io_rep, per_class, note = _choose(
         problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate)
     desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
-    if args.out:
-        _write(args.out, desc.to_json())
+    _printable(**desc._asdict())
+    desc_json = desc.to_json() if args.out or args.format == "json" else ""
+    files = {args.out: desc_json} if args.out else {}
     if args.format == "json":
-        print(desc.to_json(), end="")
-        _print_note(note, beside_json=True)
-        return 0
+        # The note goes to stderr, so stdout stays parseable; padded counts never pass for exact.
+        return desc_json, files, note
+    _printable(register_footprint=tile.register_footprint)
     ai = problem.macs / desc.total_io_elems
     ridge = ridge_point(hw)
     bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
-    print(f"problem: M={problem.M} K={problem.K} N={problem.N} "
-          f"({problem.element_bytes} B/elem)")
-    print(f"tile:    m={tile.m} k={tile.k} n={tile.n} "
-          f"(register footprint {tile.register_footprint}/{hw.reuse_registers})")
-    print(f"order:   {schedule.order.value} ({schedule.inner_class.value}, "
-          f"stationary {schedule.stationary} tiles)")
-    print(f"io:      {desc.streaming_elems} streamed + {desc.stationary_elems} stationary "
-          f"= {desc.total_io_elems} elems ({desc.total_io_bytes} bytes)")
     per = ", ".join(f"{cls.value} {total}" for cls, total in per_class.items())
-    print(f"classes: {per}")
-    print(f"roofline: intensity {ai:.3f} MACs/elem, ridge {ridge:.3f}, "
-          f"predicted {desc.predicted_throughput_macs_per_s:.3e} MACs/s ({bound})")
-    _print_note(note, beside_json=False)
-    return 0
+    lines = [
+        f"problem: M={problem.M} K={problem.K} N={problem.N} ({problem.element_bytes} B/elem)",
+        f"tile:    m={tile.m} k={tile.k} n={tile.n} "
+        f"(register footprint {tile.register_footprint}/{hw.reuse_registers})",
+        f"order:   {schedule.order.value} ({schedule.inner_class.value}, "
+        f"stationary {schedule.stationary} tiles)",
+        f"io:      {desc.streaming_elems} streamed + {desc.stationary_elems} stationary "
+        f"= {desc.total_io_elems} elems ({desc.total_io_bytes} bytes)",
+        f"classes: {per}",
+        f"roofline: intensity {ai:.3f} MACs/elem, ridge {ridge:.3f}, "
+        f"predicted {desc.predicted_throughput_macs_per_s:.3e} MACs/s ({bound})",
+    ] + [f"note:    {note}"] * bool(note)
+    return "".join(line + "\n" for line in lines), files, ""
 
 
-def cmd_simulate(args) -> int:
+def _csv(rows: list[dict], columns: list[str]) -> str:
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def cmd_simulate(args) -> Answer:
     from .sim import simulate_schedule
 
     problem = MMProblem(args.M, args.K, args.N)
@@ -126,52 +146,35 @@ def cmd_simulate(args) -> int:
     report = simulate_schedule(problem, schedule, c_zero=args.c_zero)
     payload = {"M": problem.M, "K": problem.K, "N": problem.N,
                "order": schedule.order.value, **report.to_dict()}
+    _printable(**payload)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(payload))
-        writer.writeheader()
-        writer.writerow(payload)
-        text = buf.getvalue()
+        text = _csv([payload], list(payload))
     else:
         text = "".join(f"{key}: {value}\n" for key, value in payload.items())
-    if args.out:
-        _write(args.out, text)
-    print(text, end="")
-    return 0
+    return _answer(text, args.out)
 
 
-def _sweep_rows(hw: HardwareSpec, fixture, c_zero: bool) -> list[dict]:
+def cmd_sweep(args) -> Answer:
     from .sim import simulate_schedule
 
+    hw = resolve_hardware(args.hw)
+    fixture = load_benchmark(args.fixture)
     tile = _tile(hw)
     rows = []
     for layer in sorted(fixture.layers, key=lambda l: l.layer_id):
         problem = MMProblem(layer.M, layer.K, layer.N, hw.element_bytes)
         # Order is chosen from the closed forms (on the padded problem when
         # ragged); the simulated column is always the exact ragged count.
-        schedule, analytic, _, _ = _choose(problem, tile, c_zero=c_zero, pad=True)
-        simulated = simulate_schedule(problem, schedule, c_zero=c_zero)
-        pred = attainable_throughput(hw, problem.macs / simulated.total_elems)
+        schedule, analytic, _, _ = _choose(problem, tile, c_zero=args.c_zero, pad=True)
+        simulated = simulate_schedule(problem, schedule, c_zero=args.c_zero)
         rows.append({
-            "layer_id": layer.layer_id,
-            "M": layer.M, "K": layer.K, "N": layer.N,
-            "order": schedule.order.value,
-            "m": tile.m, "k": tile.k, "n": tile.n,
-            "io_analytic": analytic.total_elems,
-            "io_simulated": simulated.total_elems,
-            "pred_throughput": pred,
+            "layer_id": layer.layer_id, "M": layer.M, "K": layer.K, "N": layer.N,
+            "order": schedule.order.value, "m": tile.m, "k": tile.k, "n": tile.n,
+            "io_analytic": analytic.total_elems, "io_simulated": simulated.total_elems,
+            "pred_throughput": attainable_throughput(hw, problem.macs / simulated.total_elems),
         })
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    hw = resolve_hardware(args.hw)
-    fixture = load_benchmark(args.fixture)
-    rows = _sweep_rows(hw, fixture, args.c_zero)
     if args.format == "json":
         text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     elif args.format == "text":
@@ -181,47 +184,33 @@ def cmd_sweep(args) -> int:
         lines += ["  ".join(str(r[col]).ljust(widths[col]) for col in _CSV_COLUMNS) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        _write(args.out, text)
-    print(text, end="")
-    return 0
+        text = _csv(rows, _CSV_COLUMNS)
+    return _answer(text, args.out)
 
 
-def cmd_roofline(args) -> int:
+def cmd_roofline(args) -> Answer:
     hw = resolve_hardware(args.hw)
     ai = arithmetic_intensity_of_tile(args.m, args.n)
     ridge = ridge_point(hw)
     bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
-    payload = {
-        "hardware": hw.name,
-        "tile_m": args.m,
-        "tile_n": args.n,
-        "arithmetic_intensity": ai,
-        "ridge_point": ridge,
-        "attainable_throughput_macs_per_s": attainable_throughput(hw, ai),
-        "classification": bound,
-    }
+    attainable = attainable_throughput(hw, ai)
+    payload = {"hardware": hw.name, "tile_m": args.m, "tile_n": args.n,
+               "arithmetic_intensity": ai, "ridge_point": ridge,
+               "attainable_throughput_macs_per_s": attainable, "classification": bound}
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = (f"tile {args.m}x{args.n}: intensity {ai:.4f} MACs/elem\n"
                 f"{hw.name}: ridge point {ridge:.4f} MACs/elem\n"
-                f"attainable {payload['attainable_throughput_macs_per_s']:.3e} MACs/s "
-                f"-> {bound}\n")
-    if args.out:
-        _write(args.out, text)
-    print(text, end="")
-    return 0
+                f"attainable {attainable:.3e} MACs/s -> {bound}\n")
+    return _answer(text, args.out)
 
 
-def cmd_emit(args) -> int:
+def cmd_emit(args) -> Answer:
+    if args.out and args.descriptor_out and (
+            os.path.realpath(args.out) == os.path.realpath(args.descriptor_out)):
+        raise ValueError(f"--out and --descriptor-out both name {args.out}; "
+                         "the kernel and the descriptor need two files")
     hw = resolve_hardware(args.hw)
     kernel_type = element_type(hw.element_bytes)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
@@ -231,17 +220,14 @@ def cmd_emit(args) -> int:
         problem, tile, pad=args.pad, simulate=args.simulate, order=order)
     source = emit_kernel_source(schedule, kernel_type)
     desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
-    if args.out:
-        _write(args.out, source)
-    else:
-        print(source, end="")
-    if args.descriptor_out:
-        _write(args.descriptor_out, desc.to_json())
-    if args.out:
-        # kernel went to a file; the descriptor is the stdout artifact
-        print(desc.to_json(), end="")
-    _print_note(note, beside_json=True)
-    return 0
+    if not (args.out or args.descriptor_out):
+        return source, {}, note
+    _printable(**desc._asdict())
+    desc_json = desc.to_json()
+    files = {path: text for path, text in ((args.out, source), (args.descriptor_out, desc_json))
+             if path}
+    # With the kernel in a file, the descriptor is the stdout artifact.
+    return desc_json if args.out else source, files, note
 
 
 _FLAGS = {
@@ -338,10 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, files, note = args.func(args)
+        for path, content in files.items():
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(content)
+        print(text, end="")
+        if note:
+            print(f"note: {note}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

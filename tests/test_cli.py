@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -462,6 +463,23 @@ class TestEmit:
         run_cli(capsys, "emit", "--hw", M4, "64", "5", "32", policy, "--out", str(kernel))
         assert out == kernel.read_text()
 
+    def test_descriptor_out_into_missing_directory_prints_nothing(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "d.json"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40",
+                                 "--descriptor-out", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    @pytest.mark.parametrize("spelling", ["k.c", "./k.c"])
+    def test_out_and_descriptor_out_on_one_file_rejected(self, capsys, tmp_path, spelling):
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40",
+                                 "--out", str(tmp_path / "k.c"),
+                                 "--descriptor-out", f"{tmp_path}/{spelling}")
+        assert (code, out) == (1, "")
+        assert err == (f"error: --out and --descriptor-out both name {tmp_path / 'k.c'}; "
+                       "the kernel and the descriptor need two files\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 # Every option each subcommand accepts; each one is read by its handler.
 OPTIONS = {
@@ -498,6 +516,28 @@ HUGE = str(10 ** 400)
 ], ids=["roofline", "select", "emit"])
 def test_intensity_past_float_range_is_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+LONG = str(10 ** 4000)  # its products pass the 4,300 digits Python prints
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["derive", "--hw", M4, LONG, LONG, LONG, "--pad"], "streaming_elems"),
+    (["derive", "--hw", M4, LONG, LONG, LONG, "--pad", "--format", "json"], "streaming_elems"),
+    (["select", "--hw", M4, LONG, LONG, LONG, "-m", "1", "-k", "1", "-n", "1", "--pad"],
+     "streaming_elems"),
+    (["select", "--hw", M4, "1", "1", "1", "-m", LONG, "-k", "1", "-n", LONG, "--simulate"],
+     "register_footprint"),
+    (["emit", "--hw", M4, LONG, LONG, LONG, "--pad", "--out", "unwritten.c"],
+     "streaming_elems"),
+    (["simulate", LONG, LONG, LONG, "-m", LONG, "-k", LONG, "-n", LONG, "--order", "MNK"],
+     "loads_a"),
+], ids=["derive", "derive-json", "select", "select-footprint", "emit", "simulate"])
+def test_value_too_long_to_print_is_one_error_line(capsys, tmp_path, monkeypatch, argv, name):
+    monkeypatch.chdir(tmp_path)
+    message = f"{name} has more than {sys.get_int_max_str_digits()} digits, too many to print"
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def usage_error(argv):

@@ -2,11 +2,13 @@
 
 Command lines for derive, select, emit and roofline, with a bundled device
 or a generated hardware JSON file, run through cli.main in-process: each
-run exits 0 or 1, and exit 1 prints exactly one ``error:`` line. JSON
-output parses without NaN or Infinity, and every descriptor printed passes
-ScheduleDescriptor.from_json. Generated descriptor JSON goes through
-from_json and generated layer tables through load_benchmark; each either
-parses or raises ValueError. Integers reach past the float range (2**1024).
+run exits 0 or 1, and exit 1 prints exactly one ``error:`` line and nothing
+on stdout. JSON output parses without NaN or Infinity, and every descriptor
+printed passes ScheduleDescriptor.from_json. Generated descriptor JSON goes
+through from_json and generated layer tables through load_benchmark; each
+either parses or raises ValueError. Integers reach past the float range
+(2**1024) and up to the 4,300 digits that Python reads and prints, so their
+products can be too long to print.
 
 simulate and sweep are left out: they visit every block, so huge dims
 would run for hours.
@@ -28,8 +30,9 @@ from memtile.io_model import LoopOrder
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
-# Small values around the edges, and integers past the float range (2**1024).
-SMALL, HUGE = st.integers(-2, 80), st.integers(1, 2 ** 1100)
+# Small values around the edges, and integers past the float range (2**1024)
+# up to the longest that int() and json read (4,300 digits).
+SMALL, HUGE = st.integers(-2, 80), st.integers(1, 10 ** 4300 - 1)
 INTS = st.one_of(SMALL, HUGE)
 # A fixed alphabet: the full Unicode one costs hypothesis seconds to build on first use.
 TEXT = st.text(alphabet="aZ9 ,#\"\\\x00\né€", max_size=4)
@@ -114,6 +117,7 @@ def check_run(argv: list[str]) -> None:
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == "", out
     elif argv[0] == "roofline" and "json" in argv:
         parse_json(out)
     elif argv[0] == "emit" or "json" in argv:
