@@ -4,6 +4,11 @@ Each command returns its whole answer (an ``Answer``), and only ``main``
 writes it: the ``--out``/``--descriptor-out`` files, then stdout, then the
 count note on stderr. A command that fails prints just its ``error:`` line.
 
+``_plan`` is the one place where a schedule and its cost are decided: the
+tile, the loop order, the IO counts under the ragged-problem policy and the
+descriptor. ``derive``/``select`` print that descriptor, ``emit`` renders its
+kernel from it, and ``sweep`` takes each row's schedule and analytic IO from it.
+
 Only ``simulate`` and ``sweep`` count accesses, so only they import the
 simulator, and with it numpy; the other commands start without it. Likewise
 only ``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
@@ -18,17 +23,9 @@ import os
 import sys
 
 from .benchmarks import load_benchmark
-from .emit import element_type, emit_descriptor, emit_kernel_source
+from .emit import ScheduleDescriptor, element_type, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
-from .io_model import (
-    IOReport,
-    LoopOrder,
-    MMProblem,
-    Schedule,
-    all_class_io,
-    pad_to_tiles,
-    select_schedule,
-)
+from .io_model import LoopOrder, MMProblem, Schedule, all_class_io, pad_to_tiles, select_schedule
 from .tiling import TileShape, arithmetic_intensity_of_tile, derive_square_tile
 
 # What each command returns: stdout text, {path: text} to write, and a note for stderr.
@@ -38,26 +35,19 @@ _CSV_COLUMNS = ["layer_id", "M", "K", "N", "order", "m", "k", "n",
                 "io_analytic", "io_simulated", "pred_throughput"]
 
 
-def _tile(hw: HardwareSpec, m: int | None = None, k: int | None = None,
-          n: int | None = None) -> TileShape:
-    """The explicit ``m x k x n`` tile (all three or none), else the largest square tile."""
-    if (m, k, n) == (None, None, None):
-        t = derive_square_tile(hw.reuse_registers)
-        return TileShape(t, t, t)
-    if None in (m, k, n):
-        raise ValueError("give all of -m, -k, -n or none")
-    return TileShape(m, k, n)
+def _plan(problem: MMProblem, hw: HardwareSpec, tile: TileShape | None = None, *,
+          order: LoopOrder | None = None, c_zero: bool = False, pad: bool = False,
+          simulate: bool = False) -> tuple[ScheduleDescriptor, str]:
+    """The schedule for ``problem`` on ``hw`` and its cost, as a descriptor plus a note.
 
-
-def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool = False, pad: bool = False,
-            simulate: bool = False, order: LoopOrder | None = None,
-            ) -> tuple[Schedule, IOReport, dict, str]:
-    """Pick a schedule (or take ``order``) and its IO under the count policy.
-
-    Returns (schedule, io report, per-class totals, note). The counts are
-    exact for every problem; a ragged one still needs a policy, choosing
-    between its exact counts (``simulate``) and a padded estimate (``pad``).
+    The tile is the largest square one unless given; the order is selected
+    unless given. The counts are exact for every problem; a ragged one still
+    needs a policy, choosing between its exact counts (``simulate``) and a
+    padded estimate (``pad``), which the note names.
     """
+    if tile is None:
+        t = derive_square_tile(hw.reuse_registers)
+        tile = TileShape(t, t, t)
     basis, note = problem, ""
     if problem.M % tile.m or problem.K % tile.k or problem.N % tile.n:
         if simulate:
@@ -75,7 +65,7 @@ def _choose(problem: MMProblem, tile: TileShape, *, c_zero: bool = False, pad: b
         schedule = Schedule(order, tile)
     reports = all_class_io(basis, tile, c_zero=c_zero)
     per_class = {cls: rep.total_elems for cls, rep in reports.items()}
-    return schedule, reports[schedule.inner_class], per_class, note
+    return emit_descriptor(problem, schedule, reports[schedule.inner_class], hw, per_class), note
 
 
 def _printable(**values: object) -> None:
@@ -98,27 +88,26 @@ def cmd_schedule(args) -> Answer:
     """derive and select: one schedule, on the given tile or else the square one."""
     hw = resolve_hardware(args.hw)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
-    tile = _tile(hw, args.m, args.k, args.n)
-    schedule, io_rep, per_class, note = _choose(
-        problem, tile, c_zero=args.c_zero, pad=args.pad, simulate=args.simulate)
-    desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
+    tile = None if args.m is None else TileShape(args.m, args.k, args.n)  # None on derive
+    desc, note = _plan(problem, hw, tile, c_zero=args.c_zero, pad=args.pad,
+                       simulate=args.simulate)
     _printable(**desc._asdict())
     desc_json = desc.to_json() if args.out or args.format == "json" else ""
     files = {args.out: desc_json} if args.out else {}
     if args.format == "json":
         # The note goes to stderr, so stdout stays parseable; padded counts never pass for exact.
         return desc_json, files, note
+    tile = desc.schedule().tile
     _printable(register_footprint=tile.register_footprint)
     ai = problem.macs / desc.total_io_elems
     ridge = ridge_point(hw)
     bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
-    per = ", ".join(f"{cls.value} {total}" for cls, total in per_class.items())
+    per = ", ".join(f"{cls} {total}" for cls, total in desc.per_class_total_elems.items())
     lines = [
         f"problem: M={problem.M} K={problem.K} N={problem.N} ({problem.element_bytes} B/elem)",
         f"tile:    m={tile.m} k={tile.k} n={tile.n} "
         f"(register footprint {tile.register_footprint}/{hw.reuse_registers})",
-        f"order:   {schedule.order.value} ({schedule.inner_class.value}, "
-        f"stationary {schedule.stationary} tiles)",
+        f"order:   {desc.order} ({desc.inner_class}, stationary {desc.stationary} tiles)",
         f"io:      {desc.streaming_elems} streamed + {desc.stationary_elems} stationary "
         f"= {desc.total_io_elems} elems ({desc.total_io_bytes} bytes)",
         f"classes: {per}",
@@ -161,18 +150,17 @@ def cmd_sweep(args) -> Answer:
 
     hw = resolve_hardware(args.hw)
     fixture = load_benchmark(args.fixture)
-    tile = _tile(hw)
     rows = []
     for layer in sorted(fixture.layers, key=lambda l: l.layer_id):
         problem = MMProblem(layer.M, layer.K, layer.N, hw.element_bytes)
         # Order is chosen from the closed forms (on the padded problem when
         # ragged); the simulated column is always the exact ragged count.
-        schedule, analytic, _, _ = _choose(problem, tile, c_zero=args.c_zero, pad=True)
-        simulated = simulate_schedule(problem, schedule, c_zero=args.c_zero)
+        desc, _ = _plan(problem, hw, c_zero=args.c_zero, pad=True)
+        simulated = simulate_schedule(problem, desc.schedule(), c_zero=args.c_zero)
         rows.append({
             "layer_id": layer.layer_id, "M": layer.M, "K": layer.K, "N": layer.N,
-            "order": schedule.order.value, "m": tile.m, "k": tile.k, "n": tile.n,
-            "io_analytic": analytic.total_elems, "io_simulated": simulated.total_elems,
+            "order": desc.order, "m": desc.m, "k": desc.k, "n": desc.n,
+            "io_analytic": desc.total_io_elems, "io_simulated": simulated.total_elems,
             "pred_throughput": attainable_throughput(hw, problem.macs / simulated.total_elems),
         })
     if args.format == "json":
@@ -214,12 +202,13 @@ def cmd_emit(args) -> Answer:
     hw = resolve_hardware(args.hw)
     kernel_type = element_type(hw.element_bytes)
     problem = MMProblem(args.M, args.K, args.N, hw.element_bytes)
-    tile = _tile(hw, args.m, args.k, args.n)
+    dims = (args.m, args.k, args.n)
+    if None in dims and dims != (None, None, None):
+        raise ValueError("give all of -m, -k, -n or none")
+    tile = None if args.m is None else TileShape(*dims)
     order = LoopOrder.parse(args.order) if args.order else None
-    schedule, io_rep, per_class, note = _choose(
-        problem, tile, pad=args.pad, simulate=args.simulate, order=order)
-    source = emit_kernel_source(schedule, kernel_type)
-    desc = emit_descriptor(problem, schedule, io_rep, hw, per_class)
+    desc, note = _plan(problem, hw, tile, order=order, pad=args.pad, simulate=args.simulate)
+    source = emit_kernel_source(desc.schedule(), kernel_type)
     if not (args.out or args.descriptor_out):
         return source, {}, note
     _printable(**desc._asdict())

@@ -1,14 +1,17 @@
+import ast
 import csv
 import io
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
+import memtile.cli
 from memtile.cli import build_parser, main
 from memtile.emit import ScheduleDescriptor, emit_descriptor
-from memtile.hardware import fixture_hardware
+from memtile.hardware import fixture_hardware, fixture_names
 from memtile.io_model import (CANONICAL_ORDER, InnerClass, LoopOrder, MMProblem, Schedule,
                                io_for_class)
 from memtile.sim import brute_force_best, simulate_schedule
@@ -320,6 +323,32 @@ class TestSweep:
         # ragged rows report padded analytic vs exact simulated counts
         assert by_id["3"]["io_analytic"] != by_id["3"]["io_simulated"]
 
+    @pytest.mark.parametrize("c_zero", [False, True])
+    @pytest.mark.parametrize("hw", fixture_names())
+    def test_rows_are_the_derive_pad_descriptors(self, capsys, tmp_path, hw, c_zero):
+        """Each row's order, tile and io_analytic are those of the descriptor
+        that derive --pad prints for its layer, which emit --pad also writes."""
+        flags = ["--c-zero"] * c_zero
+        code, out, _ = run_cli(capsys, "sweep", "--hw", hw, "--fixture", "mlperf-tiny",
+                               "--format", "json", *flags)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 20
+        for row in rows:
+            dims = [str(row[d]) for d in "MKN"]
+            code, derived, _ = run_cli(capsys, "derive", "--hw", hw, *dims, "--pad",
+                                       "--format", "json", *flags)
+            assert code == 0
+            desc = ScheduleDescriptor.from_json(derived)
+            assert ((row["order"], row["m"], row["k"], row["n"], row["io_analytic"])
+                    == (desc.order, desc.m, desc.k, desc.n, desc.total_io_elems)), row
+            if not c_zero:  # emit has no --c-zero
+                path = tmp_path / "d.json"
+                code, _, _ = run_cli(capsys, "emit", "--hw", hw, *dims, "--pad",
+                                     "--descriptor-out", str(path))
+                assert code == 0
+                assert path.read_text(encoding="utf-8") == derived
+
     def test_empty_fixture_gives_header_only(self, capsys, tmp_path):
         fixture = tmp_path / "empty.csv"
         fixture.write_text("layer_id,M,K,N\n")
@@ -573,3 +602,28 @@ class TestFlags:
     def test_csv_only_where_printed(self, capsys, command):
         assert usage_error(VALID[command] + ["--format", "csv"]) == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+# What decides a schedule and its cost: cli._plan alone may use these.
+PLAN_ONLY = {"select_schedule", "all_class_io", "pad_to_tiles", "derive_square_tile",
+             "emit_descriptor"}
+
+
+def test_one_function_plans_every_schedule():
+    """In cli.py only _plan names the tile, order, count and descriptor
+    functions, and each command that needs a schedule calls _plan once."""
+    tree = ast.parse(Path(memtile.cli.__file__).read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def uses(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id in PLAN_ONLY
+                or isinstance(n, ast.Attribute) and n.attr in PLAN_ONLY]
+
+    assert "_plan" in functions
+    assert set(uses(functions["_plan"])) == PLAN_ONLY
+    assert sorted(uses(tree)) == sorted(uses(functions["_plan"]))
+    for name in ("cmd_schedule", "cmd_emit", "cmd_sweep"):
+        calls = [n for n in ast.walk(functions[name])
+                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_plan"]
+        assert len(calls) == 1, name

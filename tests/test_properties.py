@@ -12,11 +12,18 @@ products can be too long to print.
 
 simulate and sweep are left out: they visit every block, so huge dims
 would run for hours.
+
+The last test checks that a property test that fails, run under -W error,
+shows its falsifying example (see conftest.py).
 """
 
 import contextlib
 import io
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,3 +174,26 @@ def test_layer_table_parses_or_is_a_value_error(files, header, rows):
         return
     assert fixture.layers == tuple(BenchmarkLayer(*map(int, row.split(",")))
                                    for row in rows if not row.startswith("#"))
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None)
+@given(x=st.integers())
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_failing_property_shows_its_example_under_warnings_as_errors(tmp_path):
+    """With this directory's conftest.py, a failing @given test run under
+    -W error reports its falsifying example, not an INTERNALERROR."""
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
+         "test_fails.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
