@@ -9,8 +9,8 @@ The package exports the names the README documents; everything else is
 reached through its module (``memtile.io_model``, ``memtile.sim``, ...).
 
 ``import memtile`` loads none of its modules: each loads when one of its
-names is first used (PEP 562). numpy still comes only with the simulator,
-``memtile.sim``, which loads when it is imported or ``simulate_schedule`` read.
+names is first used (PEP 562). No module loads numpy when imported; only
+``memtile.sim.interpret_kernel``, the functional test oracle, imports it.
 """
 
 __version__ = "0.1.0"
@@ -36,10 +36,10 @@ __all__ = sorted(_EXPORTS)
 
 def __getattr__(name: str):
     # Never bound here, so a function swapped in its own module is what every
-    # later read sees. Modules resolve too, but not ``sim``: it brings numpy.
-    # __import__ (unlike importlib.import_module) shows in ``-X importtime``.
+    # later read sees. Modules resolve too. __import__ (unlike
+    # importlib.import_module) shows in ``-X importtime``.
     if name in _EXPORTS:
         return getattr(__import__(_EXPORTS[name], globals(), level=1, fromlist=[name]), name)
-    if name in _EXPORTS.values() and name != "sim":
+    if name in _EXPORTS.values():
         return __import__(name, globals(), level=1, fromlist=[name])
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

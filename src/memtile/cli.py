@@ -2,7 +2,8 @@
 
 Each command returns its whole answer (an ``Answer``), and only ``main``
 writes it: the ``--out``/``--descriptor-out`` files, then stdout, then the
-count note on stderr. A command that fails prints just its ``error:`` line.
+count note on stderr. A command that fails prints just its ``error:`` line
+and leaves every regular file as it was.
 
 ``_plan`` is the one place where a schedule and its cost are decided: the
 tile, the loop order, the IO counts under the ragged-problem policy and the
@@ -10,8 +11,8 @@ descriptor. ``derive``/``select`` print that descriptor, ``emit`` renders its
 kernel from it, and ``sweep`` takes each row's schedule and analytic IO from it.
 
 Only ``simulate`` and ``sweep`` count accesses, so only they import the
-simulator, and with it numpy; the other commands start without it. Likewise
-only ``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
+simulator; the other commands never load it. No command loads numpy. Only
+``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
 """
 
 from __future__ import annotations
@@ -310,13 +311,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(files: dict[str, str]) -> None:
+    """Write every file, or on an error leave each regular one as it was: a
+    regular or new target is written to a temporary beside it, and the
+    temporaries replace their targets once all are written. Any other target
+    (``/dev/stdout``, a FIFO) is written in place. Errors name the path given."""
+    staged = []  # (temporary, target)
+    try:
+        for path, content in files.items():
+            if os.path.exists(path) and not os.path.isfile(path):
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(content)
+                continue
+            target = os.path.realpath(path)  # through a symlink to its file
+            temporary = os.path.join(os.path.dirname(target),
+                                     f".{os.path.basename(target)}.{os.getpid()}.tmp")
+            try:
+                with open(temporary, "x", encoding="utf-8") as f:
+                    staged.append((temporary, target))
+                    f.write(content)
+                if os.path.isfile(target):  # keep the replaced file's permissions
+                    os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+            except OSError as exc:
+                exc.filename = path
+                raise
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _ in staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, files, note = args.func(args)
-        for path, content in files.items():
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(content)
+        _write_files(files)
         print(text, end="")
         if note:
             print(f"note: {note}", file=sys.stderr)

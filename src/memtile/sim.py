@@ -2,11 +2,11 @@
 
 The model has precisely two storage levels: a local memory that holds one
 stationary tile plus the tiles of the block currently being computed, and
-an external memory charged one access per element moved. Every block visit
-of a schedule's loop nest is counted one by one, with its own clamped tile
-sizes, so every load and store is counted rather than estimated. The visits
-are counted in numpy vector steps of a bounded number of visits each, which
-bounds memory for every shape. The rules per visit are:
+an external memory charged one access per element moved. Each (outer,
+middle) block pair of a schedule's loop nest, one residency of the
+stationary tile, is walked. Its inner loop is at most two runs of visits
+with equal clamped tile sizes, the full blocks and then the last, and each
+run is charged the rules per visit times its visits, in exact integers:
 
   * the stationary operand's tile is loaded once per (outer, middle) loop
     pair and persists across the whole inner loop;
@@ -28,26 +28,19 @@ A row-stationary variant that keeps whole output rows resident is the
 m = 1 special case of the K-first schedule and is not modeled separately.
 
 The simulator only counts; it computes no product. interpret_kernel runs
-the emitted kernel's loop nest and is the one functional executor.
+the emitted kernel's loop nest and is the one functional executor; it is
+also the one function here that needs numpy, which it imports when called.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-
-import numpy as np
+from itertools import chain, repeat
 
 from .emit import element_type
 from .hardware import HardwareSpec
-from .io_model import (
-    CANONICAL_ORDER,
-    CLASS_PRIORITY,
-    InnerClass,
-    IOReport,
-    LoopOrder,
-    MMProblem,
-    Schedule,
-)
+from .io_model import (CANONICAL_ORDER, CLASS_PRIORITY, InnerClass, IOReport, LoopOrder,
+                       MMProblem, Schedule)
 from .tiling import CBBlock, TileShape
 
 
@@ -58,25 +51,10 @@ class StreamTimingReport(namedtuple("StreamTimingReport",
     __slots__ = ()
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-# Block visits per vector step: bounds a step's arrays for every shape.
-_STEP_VISITS = 1 << 14
-
-
-def _step_dtype(largest: int) -> type:
-    """The narrowest array dtype in which no per-visit value or step sum wraps.
-
-    ``largest`` bounds every dim and every visit's resident elements. numpy
-    sums int32 arrays in int64; object arrays of Python ints never wrap.
-    """
-    if largest < 2**31:
-        return np.int32
-    if _STEP_VISITS * largest < 2**63:
-        return np.int64
-    return object
+def _block_sizes(full: int, edge: int):
+    """Each block's clamped size along one dim, in loop order: ``edge`` but the last."""
+    blocks = -(-full // edge)
+    return chain(repeat(edge, blocks - 1), (full - edge * (blocks - 1),))
 
 
 def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = False,
@@ -86,61 +64,47 @@ def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = 
     Ragged problems are fine; edge tiles are clamped. Only accesses are
     counted; interpret_kernel computes the product.
     """
-    # One vector step broadcasts a run of flattened (outer, middle) rows
-    # against a span of the absolute inner index, at most _STEP_VISITS
-    # visits, and charges each visit its own clamped tile sizes. A charge
-    # that applies to some visits only is the size times a per-visit mask.
+    # A run's visits share their tile sizes: an operand is charged its size
+    # times the number of the run's visits that charge it, which is all of
+    # them, or the inner loop's first or last visit if the run holds it.
     t = schedule.tile
     full = {"M": problem.M, "K": problem.K, "N": problem.N}
     edge = {"M": t.m, "K": t.k, "N": t.n}
-    counts = {d: _ceil_div(full[d], edge[d]) for d in full}
-    outer, middle, inner = schedule.order.dims
-    n_middle, n_inner = counts[middle], counts[inner]
-    n_rows = counts[outer] * n_middle
-    span = min(n_inner, _STEP_VISITS)
-    rows_per_step = _STEP_VISITS // span
-    stationary = schedule.stationary
-    tile_cap = t.m * t.k + t.k * t.n + t.m * t.n
-    dtype = _step_dtype(max(*full.values(), tile_cap))
+    blocks = {d: -(-full[d] // edge[d]) for d in full}
+    dims = schedule.order.dims
+    outer, middle, inner = dims
+    at_m, at_k, at_n = (dims.index(d) for d in "MKN")
+    n_inner = blocks[inner]
+    runs = []  # (inner tile size, visits charging loads of A, B and C, and stores of C)
+    for i2, visits in ((0, n_inner - 1), (n_inner - 1, 1)):
+        if visits:  # a one-block inner loop has no run of full blocks
+            first, last = int(i2 == 0), int(i2 + visits == n_inner)
+            charged = {"C": (visits, visits, 0 if c_zero else first, last),
+                       "A": (first, visits, visits, visits),
+                       "B": (visits, first, visits, visits)}[schedule.stationary]
+            runs.append((min(edge[inner], full[inner] - edge[inner] * i2), *charged))
+    # Under A- and B-stationary orders, K is the outer or the middle dim.
+    k_zero_skips_c = c_zero and schedule.stationary != "C"
 
-    loads_a = loads_b = loads_c = stores_c = 0
-    max_resident = 0
-    for r0 in range(0, n_rows, rows_per_step):
-        rows = np.arange(r0, min(r0 + rows_per_step, n_rows), dtype=dtype)[:, None]
-        for j0 in range(0, n_inner, span):
-            i2 = np.arange(j0, min(j0 + span, n_inner), dtype=dtype)
-            idx = {outer: rows // n_middle, middle: rows % n_middle, inner: i2}
-            mi, ki, ni = (np.minimum(edge[d], full[d] - edge[d] * idx[d]) for d in "MKN")
-            # The stationary tile's sizes vary along the rows only; the
-            # streamed operands index the inner dim, so theirs fill the step.
-            a_sz, b_sz, c_sz = mi * ki, ki * ni, mi * ni
-            first = i2 == 0
-            if stationary == "C":
-                if not c_zero:
-                    loads_c += int((c_sz * first).sum())
-                loads_a += int(a_sz.sum())
-                loads_b += int(b_sz.sum())
-                stores_c += int((c_sz * (i2 == n_inner - 1)).sum())
-            else:
-                if stationary == "A":
-                    loads_a += int((a_sz * first).sum())
-                    loads_b += int(b_sz.sum())
-                else:
-                    loads_b += int((b_sz * first).sum())
-                    loads_a += int(a_sz.sum())
-                written = int(c_sz.sum())
-                loads_c += int((c_sz * (idx["K"] != 0)).sum()) if c_zero else written
-                stores_c += written
-            max_resident = max(max_resident, int((a_sz + b_sz + c_sz).max()))
-    assert max_resident <= tile_cap, "resident footprint exceeded one block's tiles"
-    return IOReport(
-        loads_a=loads_a,
-        loads_b=loads_b,
-        loads_c=loads_c,
-        stores_c=stores_c,
-        blocks_executed=n_rows * n_inner,
-        max_resident_elems=max_resident,
-    )
+    loads_a = loads_b = loads_c = stores_c = max_resident = 0
+    for i0, s0 in enumerate(_block_sizes(full[outer], edge[outer])):
+        for i1, s1 in enumerate(_block_sizes(full[middle], edge[middle])):
+            skip_c = k_zero_skips_c and (i0, i1)[at_k] == 0
+            for s2, n_a, n_b, n_lc, n_sc in runs:
+                sizes = (s0, s1, s2)
+                mi, ki, ni = sizes[at_m], sizes[at_k], sizes[at_n]
+                a_sz, b_sz, c_sz = mi * ki, ki * ni, mi * ni
+                loads_a += a_sz * n_a
+                loads_b += b_sz * n_b
+                loads_c += 0 if skip_c else c_sz * n_lc
+                stores_c += c_sz * n_sc
+                resident = a_sz + b_sz + c_sz
+                if resident > max_resident:
+                    max_resident = resident
+    assert max_resident <= t.m * t.k + t.k * t.n + t.m * t.n, \
+        "resident footprint exceeded one block's tiles"
+    return IOReport(loads_a, loads_b, loads_c, stores_c,
+                    blocks["M"] * blocks["K"] * blocks["N"], max_resident)
 
 
 def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = False,
@@ -206,7 +170,9 @@ def measure_cake_bw(block: CBBlock, hw: HardwareSpec) -> float:
     return float(Fraction(io) / time)
 
 
-def _check_operands(problem: MMProblem, q15: bool, a, b, c) -> tuple[np.ndarray, ...]:
+def _check_operands(problem: MMProblem, q15: bool, a, b, c) -> tuple:
+    import numpy as np
+
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     if a.shape != (problem.M, problem.K) or b.shape != (problem.K, problem.N) \
             or c.shape != (problem.M, problem.N):
@@ -241,8 +207,7 @@ def _q15_mac(acc, x, y):
 _MACS = {"f32": _f32_mac, "i16-q15-scalar": _q15_mac}
 
 
-def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: np.ndarray,
-                     c: np.ndarray) -> tuple[np.ndarray, int]:
+def interpret_kernel(problem: MMProblem, schedule: Schedule, a, b, c) -> tuple:
     """Run the loop nest emit_kernel_source prints, one MAC at a time.
 
     Block loops in schedule order, each with its clamped extent, then the
@@ -251,8 +216,9 @@ def interpret_kernel(problem: MMProblem, schedule: Schedule, a: np.ndarray, b: n
     the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC,
     whose operands must be integers in the int16 range, with C in a dtype
     that holds every int16 value (else ValueError).
-    This is the library's one functional executor. Returns (C + A*B, number
-    of MAC statements executed).
+    This is the library's one functional executor. The operands may be any
+    array-likes; it is the one function here that needs numpy. Returns
+    (C + A*B as a numpy array, number of MAC statements executed).
     """
     mac = _MACS[element_type(problem.element_bytes)]
     a, b, c = _check_operands(problem, mac is _q15_mac, a, b, c)

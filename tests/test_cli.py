@@ -2,8 +2,11 @@ import ast
 import csv
 import io
 import json
+import os
 import random
+import stat
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,23 @@ from memtile.sim import brute_force_best, simulate_schedule
 from memtile.tiling import TileShape, derive_square_tile
 
 M4 = "cortex-m4-fp32"
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, with a file's bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.fixture(autouse=True)
+def failures_leave_tmp_path_as_it_was(tmp_path, monkeypatch):
+    """Every command in this module that exits 1 leaves the test's directory as it was."""
+    def checked_main(argv=None):
+        before = _tree(tmp_path)
+        code = memtile.cli.main(argv)
+        if code == 1:
+            assert _tree(tmp_path) == before, argv
+        return code
+    monkeypatch.setitem(globals(), "main", checked_main)
 
 
 def run_cli(capsys, *argv):
@@ -508,6 +528,53 @@ class TestEmit:
         assert err == (f"error: --out and --descriptor-out both name {tmp_path / 'k.c'}; "
                        "the kernel and the descriptor need two files\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputFiles:
+    def test_failed_descriptor_write_leaves_no_kernel(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "d.json"
+        code, out, err = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40",
+                                 "--out", str(tmp_path / "k.c"), "--descriptor-out", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_leaves_only_the_targets(self, capsys, tmp_path):
+        kernel, desc = tmp_path / "k.c", tmp_path / "d.json"
+        kernel.write_text("old")
+        code, out, _ = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40",
+                               "--out", str(kernel), "--descriptor-out", str(desc))
+        assert code == 0
+        assert sorted(tmp_path.iterdir()) == [desc, kernel]
+        assert out == desc.read_text() and kernel.read_text().startswith("/* Generated")
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        answer = tmp_path / "answer"
+        answer.write_text("old")
+        answer.chmod(0o600)
+        assert run_cli(capsys, *VALID["roofline"], "--out", str(answer))[0] == 0
+        assert stat.S_IMODE(answer.stat().st_mode) == 0o600
+        assert answer.read_text() != "old"
+
+    def test_symlink_target_is_written_through(self, capsys, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.write_text("old")
+        link.symlink_to(real)
+        code, out, _ = run_cli(capsys, *VALID["roofline"], "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and real.read_text() == out
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run_cli(capsys, *VALID["roofline"], "--out", str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0 and received == [out]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 # Every option each subcommand accepts; each one is read by its handler.

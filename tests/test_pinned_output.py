@@ -35,7 +35,7 @@ ORDERS = ("MNK", "M->K->N", "KMN", "KNM", "NMK", "NKM", "MMK")
 
 
 def sweep_cases() -> list[list[str]]:
-    """Every bundled device x layer table but q15 x dlmc (hours of counting),
+    """Every bundled device x layer table but q15 x dlmc (seconds of counting),
     with and without --c-zero; the formats take turns."""
     cells = [(hw, table) for hw in DEVICES for table in ("mlperf-tiny", "dlmc")
              if (hw, table) != ("cortex-m4-q15", "dlmc")]

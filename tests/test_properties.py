@@ -10,8 +10,8 @@ either parses or raises ValueError. Integers reach past the float range
 (2**1024) and up to the 4,300 digits that Python reads and prints, so their
 products can be too long to print.
 
-simulate and sweep are left out: they visit every block, so huge dims
-would run for hours.
+simulate and sweep are left out: they walk every (outer, middle) block
+pair, so huge dims would still run for hours.
 
 The last test checks that a property test that fails, run under -W error,
 shows its falsifying example (see conftest.py).

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +32,7 @@ from memtile.sim import (
 from memtile.tiling import CBBlock, TileShape, cake_offchip_bw, derive_cake_block
 
 T5 = TileShape(5, 5, 5)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))  # memtile's parent
 
 ORDERS_BY_CLASS = {
     InnerClass.K_FIRST: (LoopOrder.MNK, LoopOrder.NMK),
@@ -206,7 +210,7 @@ def walk_visits(problem, schedule, c_zero):
 
 
 class TestVectorCounter:
-    """The numpy-stepped counter against a per-visit walk, zero tolerance."""
+    """The run-wise counter against a per-visit walk, zero tolerance."""
 
     @staticmethod
     def check(problem, tile, orders=tuple(LoopOrder)):
@@ -222,20 +226,20 @@ class TestVectorCounter:
             self.check(MMProblem(*(rng.randint(1, 30) for _ in range(3))),
                        TileShape(*(rng.randint(1, 9) for _ in range(3))))
 
-    def test_shapes_spanning_several_steps(self):
-        # 3 x 43 x 130 blocks: two steps under every order, each cutting the
-        # rows at a different place.
-        assert 3 * 43 * 130 > sim._STEP_VISITS
-        self.check(MMProblem(6, 43, 389), TileShape(2, 1, 3))
-
-    @pytest.mark.parametrize("order", [LoopOrder.MKN, LoopOrder.MNK, LoopOrder.NKM])
-    def test_inner_loop_longer_than_a_step(self, order):
-        # The inner loop is split across three steps, and first and last
-        # come from the absolute inner index; MKN gives MMProblem(1, 1, 40_000).
-        assert 40_000 > 2 * sim._STEP_VISITS
-        dims = {d: 40_000 if d == order.inner_dim else 1 for d in "MKN"}
-        self.check(MMProblem(dims["M"], dims["K"], dims["N"]), TileShape(1, 1, 1),
-                   orders=(order,))
+    # Each case runs in all six orders, so each dim is the inner one twice.
+    @pytest.mark.parametrize("problem, tile", [
+        (MMProblem(2, 9, 13), TileShape(3, 4, 5)),  # one M block: first == last
+        (MMProblem(11, 4, 13), TileShape(3, 4, 5)),  # one K block, full
+        (MMProblem(11, 9, 2), TileShape(3, 4, 5)),  # one N block, clamped
+        (MMProblem(4, 5, 6), TileShape(3, 4, 5)),  # two blocks: one full visit, one clamped
+        (MMProblem(11, 9, 13), TileShape(3, 4, 5)),  # every last block clamped
+        (MMProblem(12, 8, 15), TileShape(3, 4, 5)),  # every last block full
+        (MMProblem(7, 10, 8), TileShape(3, 3, 3)),  # c_zero skips K block 0 as outer and middle
+        (MMProblem(3, 2, 4), TileShape(5, 5, 5)),  # tile larger than the problem
+    ], ids=["one-m-block", "one-k-block", "one-n-block", "two-blocks", "clamped-last",
+            "full-last", "c-zero-k-outer-middle", "tile-over-problem"])
+    def test_run_boundaries(self, problem, tile):
+        self.check(problem, tile)
 
     @pytest.mark.parametrize("problem, tile", [
         (MMProblem(40, 3, 2**31), TileShape(3, 1, 2**30)),  # a dim beyond int32
@@ -245,10 +249,19 @@ class TestVectorCounter:
     def test_counts_never_wrap(self, problem, tile):
         self.check(problem, tile)
 
-    def test_narrowest_safe_dtype(self):
-        assert sim._step_dtype(2**31 - 1) is np.int32
-        assert sim._step_dtype(2**31) is np.int64
-        assert sim._step_dtype(2**63 // sim._STEP_VISITS) is object
+
+def test_long_inner_loop_is_counted_per_run():
+    """10^12 inner visits under one residency: two runs, not a walk of the
+    inner loop, so the command answers at once, with the exact formula's counts."""
+    argv = ["simulate", "7", "7", str(10**12), "-m", "7", "-k", "7", "-n", "1",
+            "--order", "MKN", "--format", "json"]
+    result = subprocess.run([sys.executable, "-m", "memtile.cli", *argv], capture_output=True,
+                            text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert (result.returncode, result.stderr) == (0, "")
+    report = io_for_class(MMProblem(7, 7, 10**12), TileShape(7, 7, 1), InnerClass.N_FIRST)
+    assert json.loads(result.stdout) == {"M": 7, "K": 7, "N": 10**12, "order": "M->K->N",
+                                         **report.to_dict()}
 
 
 # cortex-m4-q15 x dlmc is left out: its 1.1e9 block visits take seconds.
