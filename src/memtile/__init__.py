@@ -9,8 +9,8 @@ The package exports the names the README documents; everything else is
 reached through its module (``memtile.io_model``, ``memtile.sim``, ...).
 
 ``import memtile`` loads none of its modules: each loads when one of its
-names is first used (PEP 562). No module loads numpy when imported; only
-``memtile.sim.interpret_kernel``, the functional test oracle, imports it.
+names is first used (PEP 562). Every module imports only the standard
+library, so the package installs with no dependency.
 """
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ field a whole number in unquoted ASCII digits, so a line splits on its commas.
 from __future__ import annotations
 
 import os
+import sys
 from collections import namedtuple
 
 # The bundled layer tables, read from the package directory.
@@ -48,6 +49,9 @@ def _parse_layers_csv(name: str, text: str) -> BenchmarkFixture:
             if value is None or not (value.isascii() and value.isdigit()):
                 raise ValueError(f"benchmark {name!r} layer row {row}, column {col}: "
                                  f"expected a whole number in ASCII digits, got {value!r}")
+            if len(value) > sys.get_int_max_str_digits() > 0:  # too long for int(); 0: no limit
+                raise ValueError(f"benchmark {name!r} layer row {row}, column {col}: {len(value)} "
+                                 f"digits, over the limit of {sys.get_int_max_str_digits()}")
         layers.append(BenchmarkLayer(*map(int, fields)))
     return BenchmarkFixture(name=name, layers=tuple(layers))
 

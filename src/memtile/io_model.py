@@ -21,9 +21,10 @@ MKN*(1/m + 2/k) + MK and its companions. The access-counting simulator
 (memtile.sim) counts every block visit of the loop nest and returns the same
 IOReport record; it is the independent oracle these counts are tested against.
 
-Everything here is pure and exact: totals are integers, and the selection
-condition is evaluated in rational arithmetic (fractions, imported by the
-one function that uses it). The records are immutable tuples.
+Everything here is pure and exact: totals and their comparisons are in
+integers. The records are immutable tuples. The paper's closed-form
+M-first condition is a test oracle (tests/oracles.py), checked against
+select_schedule.
 """
 
 from __future__ import annotations
@@ -183,28 +184,6 @@ def select_schedule(problem: MMProblem, tile: TileShape, *, c_zero: bool = False
     reports = all_class_io(problem, tile, c_zero=c_zero)
     winner = min(CLASS_PRIORITY, key=lambda cls: reports[cls].total_elems)
     return Schedule(order=CANONICAL_ORDER[winner], tile=tile)
-
-
-def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
-    """True iff an M-first schedule is no worse than both K-first and N-first.
-
-    Evaluates the pair of inequalities, multiplied out,
-
-        K * (1 + M*(2/k - 1/m)) <= 2M      (M-first vs K-first)
-        N * (1 + M*(1/n - 1/m)) <=  M      (M-first vs N-first)
-
-    in exact rationals. Each is the difference of two class totals at the
-    rational block counts M/m, K/k, N/n, divided by N or by K; both are
-    positive, so the form holds for every tile, whatever the sign of the
-    bracket. On divisible problems it agrees with comparing the exact
-    totals of io_for_class.
-    """
-    from fractions import Fraction
-
-    M, K, N = problem.M, problem.K, problem.N
-    m, k, n = tile.m, tile.k, tile.n
-    return (K * (1 + M * (Fraction(2, k) - Fraction(1, m))) <= 2 * M
-            and N * (1 + M * (Fraction(1, n) - Fraction(1, m))) <= M)
 
 
 def pad_to_tiles(problem: MMProblem, tile: TileShape) -> MMProblem:

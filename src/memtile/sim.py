@@ -27,9 +27,8 @@ from them.
 A row-stationary variant that keeps whole output rows resident is the
 m = 1 special case of the K-first schedule and is not modeled separately.
 
-The simulator only counts; it computes no product. interpret_kernel runs
-the emitted kernel's loop nest and is the one functional executor; it is
-also the one function here that needs numpy, which it imports when called.
+The simulator only counts; it computes no product. The interpreter that
+runs an emitted kernel's loop nest is a test oracle, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, repeat
 
-from .emit import element_type
 from .hardware import HardwareSpec
 from .io_model import (CANONICAL_ORDER, CLASS_PRIORITY, InnerClass, IOReport, LoopOrder,
                        MMProblem, Schedule)
-from .tiling import CBBlock, TileShape
+from .tiling import TileShape
 
 
 class StreamTimingReport(namedtuple("StreamTimingReport",
@@ -62,7 +60,7 @@ def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = 
     """Count every external element access for one schedule.
 
     Ragged problems are fine; edge tiles are clamped. Only accesses are
-    counted; interpret_kernel computes the product.
+    counted; no product is computed.
     """
     # A run's visits share their tile sizes: an operand is charged its size
     # times the number of the run's visits that charge it, which is all of
@@ -151,95 +149,3 @@ def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
     hidden = (Fraction(tile.k) * Fraction(hw.ext_bandwidth_elems_per_s)
               >= Fraction(hw.peak_flops_per_core))
     return StreamTimingReport(compute, writeback, hidden)
-
-
-def measure_cake_bw(block: CBBlock, hw: HardwareSpec) -> float:
-    """Off-chip bandwidth of one simulated CB block: IO / time.
-
-    One pm x k x pn block streams pmk + pnk input elements and performs
-    pm*k*pn MACs at an aggregate rate of p * f. Evaluated in exact
-    rationals, so the p factors cancel identically and the result equals
-    cake_offchip_bw(m, n, f) bit for bit, independent of p.
-    """
-    from fractions import Fraction
-
-    p = block.p
-    io = p * block.m * block.k + p * block.n * block.k
-    macs = (p * block.m) * block.k * (p * block.n)
-    time = Fraction(macs) / (p * Fraction(hw.peak_flops_per_core))
-    return float(Fraction(io) / time)
-
-
-def _check_operands(problem: MMProblem, q15: bool, a, b, c) -> tuple:
-    import numpy as np
-
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.shape != (problem.M, problem.K) or b.shape != (problem.K, problem.N) \
-            or c.shape != (problem.M, problem.N):
-        raise ValueError(
-            f"operand shapes {a.shape}/{b.shape}/{c.shape} do not match problem "
-            f"{problem.M}x{problem.K}x{problem.N}")
-    if not q15:
-        return a, b, c
-    # The q15 kernel takes int16_t operands: anything else would be truncated
-    # or multiplied as given and read as a plausible Q15 result.
-    low, high = np.iinfo(np.int16).min, np.iinfo(np.int16).max
-    for name, operand in zip("ABC", (a, b, c)):
-        if operand.dtype.kind not in "iu":
-            raise ValueError(f"q15 operand {name} has dtype {operand.dtype}, not an integer type")
-        if operand.min() < low or operand.max() > high:
-            raise ValueError(f"q15 operand {name} has values outside [{low}, {high}]")
-    if not np.can_cast(np.int16, c.dtype):  # the result is written back into C's dtype
-        raise ValueError(f"q15 operand C has dtype {c.dtype}, which cannot hold every int16 value")
-    return a, b, c
-
-
-def _f32_mac(acc, x, y):
-    return acc + x * y
-
-
-def _q15_mac(acc, x, y):
-    # mema_q15_mac: round the Q15 product to nearest, then saturate the sum.
-    q15 = (int(x) * int(y) + (1 << 14)) >> 15
-    return max(-32768, min(32767, int(acc) + q15))
-
-
-_MACS = {"f32": _f32_mac, "i16-q15-scalar": _q15_mac}
-
-
-def interpret_kernel(problem: MMProblem, schedule: Schedule, a, b, c) -> tuple:
-    """Run the loop nest emit_kernel_source prints, one MAC at a time.
-
-    Block loops in schedule order, each with its clamped extent, then the
-    kk, j, i loops of the scalar body. The MAC is the one of the kernel for
-    ``problem.element_bytes`` (emit.element_type): 4 adds the product in
-    the operands' dtype, 2 is mema_q15_mac's rounding, saturating Q15 MAC,
-    whose operands must be integers in the int16 range, with C in a dtype
-    that holds every int16 value (else ValueError).
-    This is the library's one functional executor. The operands may be any
-    array-likes; it is the one function here that needs numpy. Returns
-    (C + A*B as a numpy array, number of MAC statements executed).
-    """
-    mac = _MACS[element_type(problem.element_bytes)]
-    a, b, c = _check_operands(problem, mac is _q15_mac, a, b, c)
-    out = c.copy()
-    t = schedule.tile
-    bound = {"M": problem.M, "K": problem.K, "N": problem.N}
-    step = {"M": t.m, "K": t.k, "N": t.n}
-    d0, d1, d2 = schedule.order.dims
-    origin = {}  # each block loop writes its own dim's origin here
-    macs = 0
-    for origin[d0] in range(0, bound[d0], step[d0]):
-        for origin[d1] in range(0, bound[d1], step[d1]):
-            for origin[d2] in range(0, bound[d2], step[d2]):
-                m0, k0, n0 = origin["M"], origin["K"], origin["N"]
-                mb = min(t.m, problem.M - m0)
-                kb = min(t.k, problem.K - k0)
-                nb = min(t.n, problem.N - n0)
-                for kk in range(kb):
-                    for j in range(nb):
-                        for i in range(mb):
-                            out[m0 + i, n0 + j] = mac(out[m0 + i, n0 + j],
-                                                      a[m0 + i, k0 + kk], b[k0 + kk, n0 + j])
-                            macs += 1
-    return out, macs

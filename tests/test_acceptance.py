@@ -2,10 +2,10 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s, or in
 the captured output of a failure). Expected values are either fixed
-points of the model reproduced by independent oracles in this file, or
-exact equalities between two independently implemented routes
-(closed-form accounting vs. the access-counting simulator, the kernel
-interpreter vs. numpy's product).
+points of the model reproduced by independent oracles (in this file or
+in oracles.py), or exact equalities between two independently implemented
+routes (closed-form accounting vs. the access-counting simulator, the
+kernel interpreter vs. numpy's product).
 """
 
 import itertools
@@ -25,15 +25,9 @@ from memtile.io_model import (
     Schedule,
     all_class_io,
     io_for_class,
-    m_first_condition,
     select_schedule,
 )
-from memtile.sim import (
-    check_streaming_hiding,
-    interpret_kernel,
-    measure_cake_bw,
-    simulate_schedule,
-)
+from memtile.sim import check_streaming_hiding, simulate_schedule
 from memtile.tiling import (
     TileShape,
     arithmetic_intensity_of_tile,
@@ -42,6 +36,7 @@ from memtile.tiling import (
     derive_cake_block,
     derive_square_tile,
 )
+from oracles import interpret_kernel, m_first_condition, measure_cake_bw
 
 T5 = TileShape(5, 5, 5)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import sys
 
 import pytest
 
@@ -109,6 +110,14 @@ class TestValidation:
             load_benchmark(str(path))
         assert str(exc.value) == (f"benchmark 'bad' layer row {row}, column {col}: "
                                   f"expected a whole number in ASCII digits, got {value!r}")
+
+    def test_field_longer_than_python_reads_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("layer_id,M,K,N\n1,4,5,6\n2," + "5" * 5000 + ",40,40\n")
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(str(path))
+        assert str(exc.value) == ("benchmark 'huge' layer row 2, column M: 5000 digits, "
+                                  f"over the limit of {sys.get_int_max_str_digits()}")
 
     def test_long_row_rejected(self, tmp_path):
         path = tmp_path / "long.csv"

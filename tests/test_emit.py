@@ -21,8 +21,8 @@ from memtile.io_model import (
     all_class_io,
     io_for_class,
 )
-from memtile.sim import interpret_kernel
 from memtile.tiling import TileShape
+from oracles import interpret_kernel
 
 HW = HardwareSpec("dev", 36, 4096, 64e6, 64e6)
 

@@ -12,11 +12,11 @@ from memtile.io_model import (
     Schedule,
     all_class_io,
     io_for_class,
-    m_first_condition,
     pad_to_tiles,
     select_schedule,
 )
 from memtile.tiling import TileShape
+from oracles import m_first_condition
 
 T5 = TileShape(5, 5, 5)
 

@@ -1,18 +1,19 @@
-"""``import memtile`` loads no module, and no command loads numpy.
+"""``import memtile`` loads no module, and memtile needs no numpy.
 
 The package binds none of its names: each public name's module loads when
 the name is first read, and every read goes to that module, so a function
 the benchmark's tracer swaps in its own module is what the package returns.
-The simulator (``memtile.sim``) counts in plain Python; only its functional
-test oracle, ``interpret_kernel``, imports numpy, when called. So neither
-``import memtile``, ``import memtile.sim`` nor any CLI command loads numpy,
-and ``simulate`` and ``sweep`` run where numpy cannot be imported. The import
-checks start a fresh interpreter, since the test process has long since
-loaded memtile and numpy. memtile reads its files without ``pathlib``,
-``importlib.resources`` or ``csv``, and only the commands that write CSV
-load ``csv``.
+Every module of memtile imports only the standard library, and the package
+declares no dependency; numpy is a test extra, for the oracles in
+``oracles.py``. So neither ``import memtile``, ``import memtile.sim`` nor any
+CLI command loads numpy, and every command gives the same output where numpy
+cannot be imported. The import checks start a fresh interpreter, since the
+test process has long since loaded memtile and numpy. memtile reads its
+files without ``pathlib``, ``importlib.resources`` or ``csv``, and only the
+commands that write CSV load ``csv``.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -20,7 +21,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy
 import pytest
 
 import memtile
@@ -38,9 +38,8 @@ def _python(*args: str, site: bool = True) -> tuple[int, str, str]:
 
     With ``site=False`` it runs with ``-S``: no ``site`` module, so no ``.pth``
     start-up hook in site-packages can load a module before memtile asks for
-    it. numpy's directory then goes on the path directly, without its hooks."""
-    numpy_dir = None if site else os.path.dirname(os.path.dirname(numpy.__file__))
-    path = os.pathsep.join(filter(None, [str(SRC), numpy_dir, os.environ.get("PYTHONPATH")]))
+    it."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     flags = [] if site else ["-S"]
     result = subprocess.run([sys.executable, *flags, *args], capture_output=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=120)
@@ -81,7 +80,7 @@ def test_a_name_loads_only_its_module(statement, loaded):
     ("benchmarks", "load_benchmark"),
     ("emit", "emit_kernel_source"),
     ("hardware", "resolve_hardware"),
-    ("io_model", "m_first_condition"),
+    ("io_model", "io_for_class"),
     ("sim", "simulate_schedule"),
     ("tiling", "derive_square_tile"),
 ])
@@ -137,18 +136,76 @@ def test_fresh_cli_imports_numpy_only_to_count_accesses(capsys, argv):
     assert code == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "41", "39", "38", "-m", "5", "-k", "5", "-n", "5", "--order", "NKM",
-     "--c-zero", "--format", fmt] for fmt in ("text", "json", "csv")
-] + [["sweep", "--hw", "cortex-m4-fp32", "--fixture", "dlmc"]],
-    ids=["simulate-text", "simulate-json", "simulate-csv", "sweep"])
-def test_counting_commands_run_where_numpy_cannot_be_imported(capsys, argv):
-    """With numpy unimportable, the output is byte for byte the usual one."""
+def _every_output() -> dict[str, list[str]]:
+    """Every command in every ``--format``, and ``emit`` writing each of its
+    files; ``{dir}`` stands for the directory the files go to."""
+    simulate = ["simulate", "41", "39", "38", "-m", "5", "-k", "5", "-n", "5",
+                "--order", "NKM", "--c-zero"]
+    cases = {f"simulate-{fmt}": [*simulate, "--format", fmt] for fmt in ("text", "json", "csv")}
+    cases["sweep"] = ["sweep", "--hw", "cortex-m4-fp32", "--fixture", "dlmc"]  # csv
+    for fmt in ("json", "text"):
+        cases[f"sweep-{fmt}"] = ["sweep", "--hw", "cortex-a72", "--fixture", "mlperf-tiny",
+                                 "--format", fmt]
+    for fmt in ("text", "json"):
+        cases[f"derive-{fmt}"] = ["derive", "--hw", M4, "41", "39", "38", "--simulate",
+                                  "--format", fmt]
+        cases[f"select-{fmt}"] = ["select", "--hw", M4, "40", "40", "40", "-m", "4", "-k", "2",
+                                  "-n", "5", "--c-zero", "--format", fmt]
+        cases[f"roofline-{fmt}"] = ["roofline", "--hw", "cortex-a72", "-m", "4", "-n", "4",
+                                    "--format", fmt]
+    emit = ["emit", "--hw", "cortex-m4-q15", "41", "39", "38", "--pad"]
+    cases["emit"] = emit
+    cases["emit-out"] = [*emit, "--out", "{dir}/kernel.c"]
+    cases["emit-descriptor-out"] = [*emit, "--descriptor-out", "{dir}/descriptor.json"]
+    cases["emit-out-descriptor-out"] = [*emit, "--out", "{dir}/kernel.c",
+                                        "--descriptor-out", "{dir}/descriptor.json"]
+    return cases
+
+
+EVERY_OUTPUT = _every_output()
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("argv", EVERY_OUTPUT.values(), ids=list(EVERY_OUTPUT))
+def test_counting_commands_run_where_numpy_cannot_be_imported(capsys, tmp_path, argv):
+    """With numpy unimportable, every command's output and files are byte for
+    byte the usual ones."""
     script = ("import sys\nsys.modules['numpy'] = None\n"
               "from memtile.cli import main\nsys.exit(main(sys.argv[1:]))\n")
-    code, out, err = _python("-c", script, *argv)
-    assert (code, out, err) == (main(argv), *capsys.readouterr())
+    blocked, usual = tmp_path / "blocked", tmp_path / "usual"
+    blocked.mkdir()
+    usual.mkdir()
+    code, out, err = _python("-c", script, *(a.replace("{dir}", str(blocked)) for a in argv))
+    assert (code, out, err) == (main([a.replace("{dir}", str(usual)) for a in argv]),
+                                *capsys.readouterr())
     assert code == 0
+    assert _files(blocked) == _files(usual)
+    assert len(_files(usual)) == str(argv).count("{dir}")
+
+
+def test_memtile_imports_only_the_standard_library():
+    """Every import in the package is relative or of a standard-library module."""
+    for path in sorted((SRC / "memtile").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_declares_no_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
+    assert "numpy>=1.24" in project["optional-dependencies"]["test"]
 
 
 # Start-up cost no memtile path needs: dataclasses brings inspect (with ast,

@@ -4,11 +4,14 @@ Command lines for derive, select, emit and roofline, with a bundled device
 or a generated hardware JSON file, run through cli.main in-process: each
 run exits 0 or 1, and exit 1 prints exactly one ``error:`` line and nothing
 on stdout. JSON output parses without NaN or Infinity, and every descriptor
-printed passes ScheduleDescriptor.from_json. Generated descriptor JSON goes
-through from_json and generated layer tables through load_benchmark; each
-either parses or raises ValueError. Integers reach past the float range
-(2**1024) and up to the 4,300 digits that Python reads and prints, so their
-products can be too long to print.
+printed passes ScheduleDescriptor.from_json. Their ``--out`` and
+``--descriptor-out`` files go to a fresh directory holding one old file: an
+exit 1 leaves it as it was, and an exit 0 leaves exactly the named files
+besides, each holding what the command prints as that artifact. Generated
+descriptor JSON goes through from_json and generated layer tables through
+load_benchmark; each either parses or raises ValueError. Integers reach
+past the float range (2**1024) and up to the 4,300 digits that Python reads
+and prints, so their products can be too long to print.
 
 simulate and sweep are left out: they walk every (outer, middle) block
 pair, so huge dims would still run for hours.
@@ -20,9 +23,11 @@ shows its falsifying example (see conftest.py).
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -87,16 +92,30 @@ def edited(draw, base, keys: list) -> dict:
 HW_FILES = edited(HARDWARE, HW_KEYS).map(json.dumps)
 
 
+# The file a command may write to: a new one named after the flag, the
+# directory's old one, or one in a directory that does not exist.
+OLD_FILE, OLD_TEXT = "old.txt", "old contents\n"
+FILE_FLAGS = ("--out", "--descriptor-out")
+
+
 @st.composite
-def command_lines(draw, hw: str, out: str) -> list[str]:
-    ints = draw(st.sampled_from([SMALL, HUGE]))  # one scale for every number
+def command_lines(draw, hw: str, outdir: str, scales=(SMALL, HUGE),
+                  commands=("derive", "select", "emit", "roofline")) -> list[str]:
+    ints = draw(st.sampled_from(scales))  # one scale for every number
 
     def num() -> str:
         return str(draw(ints))
 
-    command = draw(st.sampled_from(["derive", "select", "emit", "roofline"]))
+    def file_flag(flag: str) -> list[str]:
+        if not draw(st.booleans()):
+            return []
+        new = flag.lstrip("-") + ".txt"
+        return [flag, os.path.join(outdir, draw(st.sampled_from(
+            [new, OLD_FILE, os.path.join("missing", new)])))]
+
+    command = draw(st.sampled_from(commands))
     if command == "roofline":
-        return [command, "--hw", hw, "-m", num(), "-n", num(),
+        return [command, "--hw", hw, "-m", num(), "-n", num(), *file_flag("--out"),
                 "--format", draw(st.sampled_from(["json", "text"]))]
     argv = [command, "--hw", hw, num(), num(), num()]
     if command == "select" or (command == "emit" and draw(st.booleans())):
@@ -105,10 +124,10 @@ def command_lines(draw, hw: str, out: str) -> list[str]:
     if command == "emit":
         if draw(st.booleans()):
             argv += ["--order", draw(st.sampled_from([o.name for o in LoopOrder]))]
-        return argv + ["--out", out]  # the descriptor is then the stdout artifact
+        return argv + file_flag("--out") + file_flag("--descriptor-out")
     if draw(st.booleans()):
         argv.append("--c-zero")
-    return argv + ["--format", draw(st.sampled_from(["json", "text"]))]
+    return argv + file_flag("--out") + ["--format", draw(st.sampled_from(["json", "text"]))]
 
 
 @pytest.fixture(scope="module")
@@ -116,27 +135,82 @@ def files(tmp_path_factory):
     return tmp_path_factory.mktemp("generated")
 
 
-def check_run(argv: list[str]) -> None:
+def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def tree(directory: str) -> dict[str, str]:
+    """Every file under ``directory`` by its relative path, with its text."""
+    found = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, encoding="utf-8", newline="") as f:
+                found[os.path.relpath(path, directory)] = f.read()
+    return found
+
+
+def artifacts(argv: list[str], out: str) -> dict[str, str]:
+    """Each file a successful run names, with what the command prints as that
+    artifact: its stdout with no file named (derive and select print their
+    file, the descriptor, with --format json), and for emit's descriptor what
+    emit prints when it writes the kernel to a file."""
+    flags = {flag: argv[argv.index(flag) + 1] for flag in FILE_FLAGS if flag in argv}
+    named = {argv.index(flag) + d for flag in flags for d in (0, 1)}
+    bare = [a for i, a in enumerate(argv) if i not in named]
+    if argv[0] in ("derive", "select"):
+        bare += ["--format", "json"]  # the last --format given wins
+    expected = {}
+    if "--out" in flags:
+        expected[flags["--out"]] = run(bare)[1]
+    if "--descriptor-out" in flags:
+        expected[flags["--descriptor-out"]] = (
+            out if "--out" in flags else run([*bare, "--out", os.devnull])[1])
+    return expected
+
+
+def check_run(argv: list[str], outdir: str) -> None:
+    with open(os.path.join(outdir, OLD_FILE), "w", encoding="utf-8") as f:
+        f.write(OLD_TEXT)
+    before = tree(outdir)
+    code, out, err = run(argv)
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == "", out
-    elif argv[0] == "roofline" and "json" in argv:
+        assert tree(outdir) == before
+        return
+    expected = {os.path.relpath(path, outdir): text
+                for path, text in artifacts(argv, out).items()}
+    assert tree(outdir) == {**before, **expected}
+    if argv[0] == "roofline" and "json" in argv:
         parse_json(out)
-    elif argv[0] == "emit" or "json" in argv:
+    elif (argv[0] == "emit" and "--out" in argv) or "json" in argv:
         parse_json(out)
         assert ScheduleDescriptor.from_json(out).to_json() == out
 
 
 @settings(SETTINGS, max_examples=100)
 @given(data=st.data())
-def test_cli_on_bundled_hardware(files, data):
+def test_cli_on_bundled_hardware(data):
     hw = data.draw(st.sampled_from(fixture_names()))
-    check_run(data.draw(command_lines(hw, str(files / "kernel.c"))))
+    with tempfile.TemporaryDirectory() as outdir:
+        check_run(data.draw(command_lines(hw, outdir)), outdir)
+
+
+@pytest.mark.parametrize("command", ["derive", "select", "emit", "roofline"])
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_cli_files_on_bundled_hardware_and_positive_dims(command, data):
+    """Mostly valid command lines, so that most runs of each command write
+    their files."""
+    hw = data.draw(st.sampled_from(fixture_names()))
+    with tempfile.TemporaryDirectory() as outdir:
+        check_run(data.draw(command_lines(hw, outdir, (st.integers(1, 80),), (command,))),
+                  outdir)
 
 
 @settings(SETTINGS, max_examples=75)
@@ -144,7 +218,8 @@ def test_cli_on_bundled_hardware(files, data):
 def test_cli_on_generated_hardware_json(files, data):
     hw = files / "hw.json"
     hw.write_text(data.draw(HW_FILES), encoding="utf-8")
-    check_run(data.draw(command_lines(str(hw), str(files / "kernel.c"))))
+    with tempfile.TemporaryDirectory() as outdir:
+        check_run(data.draw(command_lines(str(hw), outdir)), outdir)
 
 
 @SETTINGS

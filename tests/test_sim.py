@@ -25,11 +25,10 @@ from memtile.io_model import (
 from memtile.sim import (
     brute_force_best,
     check_streaming_hiding,
-    interpret_kernel,
-    measure_cake_bw,
     simulate_schedule,
 )
 from memtile.tiling import CBBlock, TileShape, cake_offchip_bw, derive_cake_block
+from oracles import interpret_kernel, measure_cake_bw
 
 T5 = TileShape(5, 5, 5)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))  # memtile's parent
