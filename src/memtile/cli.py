@@ -11,8 +11,9 @@ descriptor. ``derive``/``select`` print that descriptor, ``emit`` renders its
 kernel from it, and ``sweep`` takes each row's schedule and analytic IO from it.
 
 Only ``simulate`` and ``sweep`` count accesses, so only they import the
-simulator; the other commands never load it. No command loads numpy. Only
-``sweep`` and ``simulate --format csv`` write CSV, so only they import csv.
+simulator, and only ``sweep`` reads a layer table (``memtile.benchmarks``).
+No command loads numpy. Only ``sweep`` and ``simulate --format csv`` write
+CSV, so only they import csv.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 
-from .benchmarks import load_benchmark
 from .emit import ScheduleDescriptor, element_type, emit_descriptor, emit_kernel_source
 from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
 from .io_model import LoopOrder, MMProblem, Schedule, all_class_io, pad_to_tiles, select_schedule
@@ -147,6 +147,7 @@ def cmd_simulate(args) -> Answer:
 
 
 def cmd_sweep(args) -> Answer:
+    from .benchmarks import load_benchmark
     from .sim import simulate_schedule
 
     hw = resolve_hardware(args.hw)

@@ -5,7 +5,9 @@ the problem, the chosen tile and loop order, the analytic IO accounting,
 and the roofline throughput prediction. Serialization is canonical
 (sorted keys, fixed separators), so emit -> parse -> re-emit is
 byte-identical. Its fields, in order, and the JSON type of each come from
-one table, _DESCRIPTOR_FIELDS.
+one table, _DESCRIPTOR_FIELDS. Parsing follows the strict-JSON rules that
+hardware descriptors follow too, which live in memtile.hardware
+(parse_json and read_fields); from_json adds the descriptor's own checks.
 
 Kernel generation produces a single self-contained C translation unit
 realizing the blocked loop nest with a scalar rank-1 microkernel: three
@@ -20,8 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .hardware import (HardwareSpec, _integer, _number, _string, _unique_keys,
-                       attainable_throughput)
+from .hardware import HardwareSpec, attainable_throughput, parse_json, read_fields
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -48,8 +49,8 @@ _DESCRIPTOR_FIELDS = {
     "total_io_bytes": int, "per_class_total_elems": dict,
     "predicted_throughput_macs_per_s": float, "schema": str,
 }
-# The JSON reader for each scalar field type.
-_READERS = {int: _integer, float: _number, str: _string}
+# Each per_class_total_elems key, all optional: the class names.
+_CLASS_FIELDS = {c.value: int for c in InnerClass}
 
 
 class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
@@ -66,43 +67,22 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
     def from_json(cls, text: str) -> "ScheduleDescriptor":
         """Parse and check a descriptor; anything malformed or inconsistent is a ValueError.
 
-        Integer fields must hold integral numbers (40.9 is rejected, not
-        truncated), the throughput a finite number, and text fields strings.
-        Dims, tile sizes and element_bytes must be positive. The totals must
-        add up, and ``order`` must parse and agree with ``inner_class`` and
-        ``stationary``. ``per_class_total_elems`` may be empty; otherwise it
-        is keyed by class names, holds no negative total, and its entry for
-        ``inner_class`` equals ``total_io_elems``.
+        The JSON and each field's type follow memtile.hardware's strict-JSON
+        rules. Dims, tile sizes and element_bytes must be positive, the totals
+        must add up, and ``order`` must parse and agree with ``inner_class``
+        and ``stationary``. A non-empty ``per_class_total_elems`` holds no
+        negative total, and its ``inner_class`` entry equals ``total_io_elems``.
         """
-        try:
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise ValueError("schedule descriptor JSON nested too deeply to parse") from None
-        if not isinstance(raw, dict):
-            raise ValueError("schedule descriptor must be a JSON object")
-        schema = raw.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise ValueError(f"unsupported descriptor schema {schema!r}")
-        unknown = set(raw) - set(_DESCRIPTOR_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
-        missing = set(_DESCRIPTOR_FIELDS) - set(raw)
-        if missing:
-            raise ValueError(f"missing descriptor keys: {sorted(missing)}")
-        values = {name: _READERS[kind](raw, name)
-                  for name, kind in _DESCRIPTOR_FIELDS.items() if kind in _READERS}
+        raw = parse_json(text)
+        if isinstance(raw, dict) and raw.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported descriptor schema {raw.get('schema')!r}")
+        values = read_fields(raw, _DESCRIPTOR_FIELDS, "descriptor")
         for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
             if values[name] < 1:
                 raise ValueError(f"{name} must be >= 1, got {values[name]}")
-        per_class = raw["per_class_total_elems"]
-        if not isinstance(per_class, dict):
-            raise ValueError(f"per_class_total_elems must be an object, got {per_class!r}")
-        classes = [c.value for c in InnerClass]
-        unknown = set(per_class) - set(classes)
-        if unknown:
-            raise ValueError(
-                f"unknown per_class_total_elems classes {sorted(unknown)}; expected {classes}")
-        values["per_class_total_elems"] = {c: _integer(per_class, c) for c in per_class}
+        values["per_class_total_elems"] = read_fields(
+            values["per_class_total_elems"], _CLASS_FIELDS, "per_class_total_elems",
+            optional=frozenset(_CLASS_FIELDS))
         for c, total in values["per_class_total_elems"].items():
             if total < 0:
                 raise ValueError(f"per_class_total_elems {c} must be >= 0, got {total}")

@@ -8,7 +8,8 @@ bytes) so they compose directly with the element-count IO accounting used
 everywhere else; byte-based descriptor inputs are converted on load.
 
 HardwareSpec is an immutable tuple record, checked when built: safe to
-share across threads, and every operation on it is pure.
+share across threads, and every operation on it is pure. The strict-JSON
+rules live here, in parse_json and read_fields; memtile.emit shares them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import namedtuple
 
 # The bundled profiles, read from the package directory.
@@ -86,117 +88,133 @@ def attainable_throughput(hw: HardwareSpec, ai: float) -> float:
     return min(ai * hw.ext_bandwidth_elems_per_s, peak)
 
 
-_REQUIRED_KEYS = {
-    "name",
-    "reuse_registers",
-    "local_memory_elems",
-    "peak_flops_per_core",
-    "cores",
-    "element_bytes",
-}
-_BANDWIDTH_KEYS = {"ext_bandwidth_elems_per_s", "ext_bandwidth_bytes_per_s"}
-_OPTIONAL_KEYS = {"notes"}
+# Each hardware descriptor field and its JSON type, in the order they are read.
+_FIELDS = {"element_bytes": int, "ext_bandwidth_elems_per_s": float,
+           "ext_bandwidth_bytes_per_s": float, "name": str, "reuse_registers": int,
+           "local_memory_elems": int, "peak_flops_per_core": float, "cores": int, "notes": str}
+_OPTIONAL = frozenset({"ext_bandwidth_elems_per_s", "ext_bandwidth_bytes_per_s", "notes"})
 
 
 def hardware_from_dict(raw: dict) -> HardwareSpec:
-    """Build a HardwareSpec from descriptor-file contents.
-
-    The schema is strict: unknown keys are rejected rather than ignored, so
-    a typo in a descriptor fails loudly instead of silently falling back to
-    a default. ``name`` and ``notes`` must be strings, not converted to
-    them. Bandwidth may be given in elements/s or bytes/s; bytes are
-    converted using element_bytes.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError("hardware descriptor must be a JSON object")
-    keys = set(raw)
-    unknown = keys - _REQUIRED_KEYS - _BANDWIDTH_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ValueError(f"unknown hardware descriptor keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - keys
-    if missing:
-        raise ValueError(f"missing hardware descriptor keys: {sorted(missing)}")
-    bw_keys = keys & _BANDWIDTH_KEYS
-    if len(bw_keys) != 1:
+    """Build a HardwareSpec from descriptor-file contents, read by read_fields
+    (so a typo in a key fails loudly instead of falling back to a default).
+    Bandwidth is given once, in elements/s or bytes/s (converted using
+    element_bytes); ``notes`` may be left out."""
+    values = read_fields(raw, _FIELDS, "hardware descriptor", _OPTIONAL)
+    if ("ext_bandwidth_elems_per_s" in values) == ("ext_bandwidth_bytes_per_s" in values):
         raise ValueError(
             "exactly one of ext_bandwidth_elems_per_s / ext_bandwidth_bytes_per_s is required")
-
-    element_bytes = _integer(raw, "element_bytes")
-    if element_bytes <= 0:
-        raise ValueError("element_bytes must be strictly positive")
-    if "ext_bandwidth_elems_per_s" in raw:
-        bandwidth = _number(raw, "ext_bandwidth_elems_per_s")
-    else:
+    if "ext_bandwidth_bytes_per_s" in values:
+        if values["element_bytes"] <= 0:
+            raise ValueError("element_bytes must be strictly positive")
         try:
-            bandwidth = _number(raw, "ext_bandwidth_bytes_per_s") / element_bytes
+            bandwidth = values.pop("ext_bandwidth_bytes_per_s") / values["element_bytes"]
         except OverflowError:  # an element width too large for a float: the rate rounds to 0
             bandwidth = 0.0
-
-    return HardwareSpec(
-        name=_string(raw, "name"),
-        reuse_registers=_integer(raw, "reuse_registers"),
-        local_memory_elems=_integer(raw, "local_memory_elems"),
-        ext_bandwidth_elems_per_s=bandwidth,
-        peak_flops_per_core=_number(raw, "peak_flops_per_core"),
-        cores=_integer(raw, "cores"),
-        element_bytes=element_bytes,
-        notes=_string(raw, "notes") if "notes" in raw else "",
-    )
+        values["ext_bandwidth_elems_per_s"] = bandwidth
+    return HardwareSpec(**values)
 
 
-def _string(raw: dict, key: str) -> str:
+# The strict-JSON rules: parse_json, then read_fields. An integer literal
+# with more digits than int() reads is parsed to its digit count.
+_Overlong = namedtuple("_Overlong", "digits")
+
+
+def _int(literal: str) -> int | _Overlong:
+    try:
+        return int(literal)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _Overlong(len(literal.lstrip("-")))
+
+
+def _checked_object(pairs: list[tuple[str, object]]) -> dict:
+    """A repeated key is an error, not a silent overwrite by its last value,
+    and so is an integer too long to read, named by the key holding it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        inside = [value]
+        while inside:  # the value, and the items of any array in it
+            item = inside.pop()
+            if type(item) is list:
+                inside += item
+            elif type(item) is _Overlong:
+                raise ValueError(f"{key}: {item.digits} digits, "
+                                 f"over the limit of {sys.get_int_max_str_digits()}")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str) -> object:
+    """Parse JSON text strictly: text that is not valid JSON, nesting too deep
+    to parse, a key given twice in one object and an integer with more
+    digits than ``sys.get_int_max_str_digits()`` are each a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_checked_object, parse_int=_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
+def _string(key: str, value: object) -> str:
     """A JSON string; null, numbers and other values are rejected, not converted."""
-    value = raw[key]
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _number(raw: dict, key: str) -> float:
+def _number(key: str, value: object) -> float:
     """A finite JSON number; bools, strings, NaN and Infinity are rejected."""
-    value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         result = float(value)
-    except OverflowError:
-        raise ValueError(f"{key} must be finite, got {value!r}") from None
+    except OverflowError:  # an integer past the float range
+        result = math.inf
     if not math.isfinite(result):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return result
 
 
-def _integer(raw: dict, key: str) -> int:
+def _integer(key: str, value: object) -> int:
     """A JSON number with an integral value; 36.9 is rejected, not truncated."""
-    value = raw[key]
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if _number(raw, key) != int(value):
+    if _number(key, value) != int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` for ``json.loads``: a repeated key is an error,
-    not a silent overwrite by its last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate JSON key {key!r}")
-        obj[key] = value
-    return obj
+def _object(key: str, value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+_READERS = {int: _integer, float: _number, str: _string, dict: _object}
+
+
+def read_fields(raw: object, fields: dict[str, type], what: str, optional=frozenset()) -> dict:
+    """The fields of the JSON object ``raw``, in the order of ``fields``: no
+    other key, none missing but the ``optional`` ones, and each read as its
+    type, ``int`` (an integral number), ``float`` (finite), ``str`` or ``dict``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for fault, keys in (("unknown", raw.keys() - fields.keys()),
+                        ("missing", fields.keys() - raw.keys() - optional)):
+        if keys:
+            raise ValueError(f"{fault} {what} keys: {sorted(keys)}")
+    return {key: _READERS[kind](key, raw[key]) for key, kind in fields.items() if key in raw}
 
 
 def load_hardware(path: str | os.PathLike) -> HardwareSpec:
     """Load a hardware descriptor from a JSON file."""
     try:
         with open(path, encoding="utf-8") as f:
-            raw = json.loads(f.read(), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-    except ValueError as exc:  # not UTF-8, a repeated key, or an integer too long to convert
+            raw = parse_json(f.read())
+    except ValueError as exc:  # not UTF-8, or not strict JSON
         raise ValueError(f"{path}: {exc}") from None
     return hardware_from_dict(raw)
 

@@ -197,6 +197,17 @@ class TestDerive:
         assert (code, out) == (1, "")
         assert err == f"error: {bad}: duplicate JSON key 'reuse_registers'\n"
 
+    def test_integer_too_long_in_hw_file_names_file_and_key(self, capsys, tmp_path,
+                                                             tiny_hw_file):
+        # Python's bare int() message used to stand alone, ending in advice to
+        # call sys.set_int_max_str_digits().
+        text = (tmp_path / "tiny.json").read_text()
+        bad = tmp_path / "long.json"
+        bad.write_text(text.replace('"reuse_registers": 3,', f'"reuse_registers": {"3" * 5000},'))
+        assert run_cli(capsys, "derive", "--hw", str(bad), "40", "40", "40") == (
+            1, "", f"error: {bad}: reuse_registers: 5000 digits, "
+                   f"over the limit of {sys.get_int_max_str_digits()}\n")
+
     def test_non_utf8_hw_file_is_named(self, capsys, tmp_path):
         bad = tmp_path / "latin.json"
         bad.write_bytes(b'{"name": "caf\xe9"}')

@@ -2,6 +2,7 @@ import ctypes
 import json
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,8 +115,40 @@ class TestDescriptor:
             ScheduleDescriptor.from_json(text.replace(old, new))
 
     def test_deeply_nested_json_rejected(self):
-        with pytest.raises(ValueError, match="nested too deeply"):
+        with pytest.raises(ValueError, match="^JSON nested too deeply to parse$"):
             ScheduleDescriptor.from_json('{"schema": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+    def test_invalid_json_rejected(self):
+        # Was json's bare message; it now says what is wrong, as for a hardware file.
+        with pytest.raises(ValueError, match="^not valid JSON: Expecting value: line 1 column 1"):
+            ScheduleDescriptor.from_json("not json")
+
+    def test_top_level_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="^descriptor must be a JSON object$"):
+            ScheduleDescriptor.from_json("[" + cube40_descriptor().to_json() + "]")
+
+    @pytest.mark.parametrize("old, key", [
+        ('"M": 40,', "M"),
+        ('"K-first": 28800,', "K-first"),
+        ('"schema": "v1"', "bogus"),  # not a descriptor key: named all the same
+    ], ids=["field", "per-class", "unknown-key"])
+    def test_integer_too_long_to_read_names_its_key(self, old, key):
+        text = cube40_descriptor().to_json()
+        assert old in text
+        new = f'"{key}": {"8" * 5000}' + ("," if old.endswith(",") else f", {old}")
+        with pytest.raises(ValueError) as exc:
+            ScheduleDescriptor.from_json(text.replace(old, new))
+        assert str(exc.value) == (f"{key}: 5000 digits, "
+                                  f"over the limit of {sys.get_int_max_str_digits()}")
+
+    def test_no_digit_limit_rejects_no_integer(self):
+        text = cube40_descriptor().to_json().replace('"M": 40,', f'"M": {"6" * 5000},')
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert ScheduleDescriptor.from_json(text).M == int("6" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("key, value, match", [
         ("M", 40.9, "M must be an integer"),
@@ -134,7 +167,7 @@ class TestDescriptor:
         ("M", -64, "M must be >= 1, got -64"),
         ("n", 0, "n must be >= 1, got 0"),
         ("element_bytes", 0, "element_bytes must be >= 1, got 0"),
-        ("per_class_total_elems", {"bogus": 28800}, "unknown per_class_total_elems classes"),
+        ("per_class_total_elems", {"bogus": 28800}, "unknown per_class_total_elems keys"),
         ("per_class_total_elems", {"K-first": 28800, "M-first": -3},
          "per_class_total_elems M-first must be >= 0, got -3"),
         ("per_class_total_elems", {"K-first": 12345, "M-first": 30000},

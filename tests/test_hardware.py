@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -199,6 +200,48 @@ class TestDescriptorLoading:
         with pytest.raises(ValueError) as exc:
             load_hardware(path)
         assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("key, literal", [
+        ("reuse_registers", "3" * 5000),
+        ("cores", "-" + "1" * 5000),
+        ("peak_flops_per_core", "2" * 5000),
+        ("notes", "[1, [" + "4" * 5000 + "]]"),
+        ("registers", "5" * 5000),  # not a hardware key: named all the same
+    ], ids=["integer", "negative", "number", "in-array", "unknown-key"])
+    def test_integer_too_long_to_read_names_its_key(self, tmp_path, key, literal):
+        # Python's bare int() message used to stand alone, naming no key.
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(dict(self.BASE, **{key: 0}))
+                        .replace(f'"{key}": 0', f'"{key}": {literal}'))
+        with pytest.raises(ValueError) as exc:
+            load_hardware(path)
+        assert str(exc.value) == (f"{path}: {key}: 5000 digits, "
+                                  f"over the limit of {sys.get_int_max_str_digits()}")
+
+    def test_integer_at_the_digit_limit_is_read(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(self.BASE).replace('"local_memory_elems": 4096',
+                                                      f'"local_memory_elems": {"9" * limit}'))
+        assert load_hardware(path).local_memory_elems == 10 ** limit - 1
+
+    def test_no_digit_limit_rejects_no_integer(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(self.BASE).replace('"local_memory_elems": 4096',
+                                                      f'"local_memory_elems": {"7" * 5000}'))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert load_hardware(path).local_memory_elems == int("7" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_top_level_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(f"[{json.dumps(self.BASE)}]")
+        with pytest.raises(ValueError) as exc:
+            load_hardware(path)
+        assert str(exc.value) == "hardware descriptor must be a JSON object"
 
     def test_deeply_nested_json_reported(self, tmp_path):
         path = tmp_path / "dev.json"

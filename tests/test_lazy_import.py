@@ -10,7 +10,8 @@ CLI command loads numpy, and every command gives the same output where numpy
 cannot be imported. The import checks start a fresh interpreter, since the
 test process has long since loaded memtile and numpy. memtile reads its
 files without ``pathlib``, ``importlib.resources`` or ``csv``, and only the
-commands that write CSV load ``csv``.
+commands that write CSV load ``csv``. No memtile module imports another's
+underscore name, and JSON is parsed in one place.
 """
 
 import ast
@@ -129,9 +130,11 @@ def test_import_memtile_leaves_numpy_out():
     ["sweep", "--hw", "cortex-a72", "--fixture", "mlperf-tiny"],
 ], ids=["derive", "derive-simulate", "select", "roofline", "emit", "simulate", "sweep"])
 def test_fresh_cli_imports_numpy_only_to_count_accesses(capsys, argv):
-    """No command imports numpy, the two that count accesses included."""
+    """No command imports numpy, the two that count accesses included, and
+    only ``sweep``, which reads a layer table, imports memtile.benchmarks."""
     code, out, err = _python("-X", "importtime", "-m", "memtile.cli", *argv)
     assert "numpy" not in _imported(err)
+    assert ("memtile.benchmarks" in _imported(err)) == (argv[0] == "sweep")
     assert (code, out, _without_importtime(err)) == (main(argv), *capsys.readouterr())
     assert code == 0
 
@@ -198,6 +201,23 @@ def test_memtile_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_memtile_modules_share_no_private_name_and_parse_json_once():
+    """No module imports another's underscore name, and one place parses JSON:
+    the hardware reader that schedule descriptors share."""
+    loads = []
+    for path in sorted((SRC / "memtile").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "memtile"
+                                                     or node.module.startswith("memtile.")):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"):
+                loads.append(f"{path.name}:{node.lineno}")
+    assert len(loads) == 1, loads
 
 
 def test_package_declares_no_dependency():
