@@ -115,12 +115,11 @@ def hardware_from_dict(raw: dict) -> HardwareSpec:
     return HardwareSpec(**values)
 
 
-# The strict-JSON rules: parse_json, then read_fields. An integer literal
-# with more digits than int() reads is parsed to its digit count.
-_Overlong = namedtuple("_Overlong", "digits")
+_Overlong = namedtuple("_Overlong", "digits")  # an integer literal too long for int()
 
 
 def _int(literal: str) -> int | _Overlong:
+    """``parse_int`` for ``json.loads``: the integer, or its digit count if too long."""
     try:
         return int(literal)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -148,8 +147,9 @@ def _checked_object(pairs: list[tuple[str, object]]) -> dict:
 
 def parse_json(text: str) -> object:
     """Parse JSON text strictly: text that is not valid JSON, nesting too deep
-    to parse, a key given twice in one object and an integer with more
-    digits than ``sys.get_int_max_str_digits()`` are each a ValueError."""
+    to parse, a key given twice in one object and an integer under a key with
+    more digits than ``sys.get_int_max_str_digits()`` are each a ValueError.
+    A top level that is not an object is read_fields' to reject."""
     try:
         return json.loads(text, object_pairs_hook=_checked_object, parse_int=_int)
     except json.JSONDecodeError as exc:
