@@ -61,10 +61,11 @@ def benchmark_names() -> list[str]:
 
 
 def load_benchmark(ref: str | os.PathLike) -> BenchmarkFixture:
-    """Load a bundled table by name, or any CSV file by path (named after its
-    file name without the suffix)."""
+    """Load a bundled table by name, or a CSV file by path, any existing path
+    but a directory, a pipe included (named after its file name without the
+    suffix)."""
     path = os.fspath(ref)
-    if os.path.isfile(path):
+    if os.path.exists(path) and not os.path.isdir(path):
         name = os.path.basename(path)
         dot = name.rfind(".")  # as pathlib's stem: ".csv" and "layers." keep their dot
         name = name[:dot] if 0 < dot < len(name) - 1 else name

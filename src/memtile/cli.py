@@ -55,7 +55,10 @@ def _plan(problem: MMProblem, hw: HardwareSpec, tile: TileShape | None = None, *
             note = "exact ceiling-count IO (ragged edge tiles clamped)"
         elif pad:
             basis = pad_to_tiles(problem, tile)
-            note = f"padded to {basis.M}x{basis.K}x{basis.N} for closed-form IO"
+            try:
+                note = f"padded to {basis.M}x{basis.K}x{basis.N} for closed-form IO"
+            except ValueError:  # a padded dim too long to print; so are the counts
+                note = "padded to tile multiples for closed-form IO"
         else:
             raise ValueError(
                 f"tile {tile.key()} does not divide {problem.M}x{problem.K}x{problem.N}; "
@@ -165,6 +168,7 @@ def cmd_sweep(args) -> Answer:
             "io_analytic": desc.total_io_elems, "io_simulated": simulated.total_elems,
             "pred_throughput": attainable_throughput(hw, problem.macs / simulated.total_elems),
         })
+        _printable(**{f"layer {layer.layer_id} {col}": value for col, value in rows[-1].items()})
     if args.format == "json":
         text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     elif args.format == "text":
@@ -316,13 +320,13 @@ def _write_files(files: dict[str, str]) -> None:
     """Write every file, or on an error leave each regular one as it was: a
     regular or new target is written to a temporary beside it, and the
     temporaries replace their targets once all are written. Any other target
-    (``/dev/stdout``, a FIFO) is written in place. Errors name the path given."""
-    staged = []  # (temporary, target)
+    (``/dev/stdout``, a FIFO) is written in place, once every temporary is,
+    so a target that cannot be staged writes nothing. Errors name the path given."""
+    staged, in_place = [], []  # (temporary, target), (path, content)
     try:
         for path, content in files.items():
             if os.path.exists(path) and not os.path.isfile(path):
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(content)
+                in_place.append((path, content))
                 continue
             target = os.path.realpath(path)  # through a symlink to its file
             temporary = os.path.join(os.path.dirname(target),
@@ -336,6 +340,9 @@ def _write_files(files: dict[str, str]) -> None:
             except OSError as exc:
                 exc.filename = path
                 raise
+        for path, content in in_place:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(content)
         for temporary, target in staged:
             os.replace(temporary, target)
     except BaseException:

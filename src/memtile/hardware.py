@@ -238,7 +238,8 @@ def fixture_hardware(name: str) -> HardwareSpec:
 
 
 def resolve_hardware(ref: str) -> HardwareSpec:
-    """Interpret ``ref`` as a descriptor file path, else as a bundled fixture name."""
-    if os.path.isfile(ref):
+    """Interpret ``ref`` as a descriptor file path (any existing path but a
+    directory, a pipe included), else as a bundled fixture name."""
+    if os.path.exists(ref) and not os.path.isdir(ref):
         return load_hardware(ref)
     return fixture_hardware(ref)

@@ -188,8 +188,4 @@ def select_schedule(problem: MMProblem, tile: TileShape, *, c_zero: bool = False
 
 def pad_to_tiles(problem: MMProblem, tile: TileShape) -> MMProblem:
     """Round every problem dim up to the next tile multiple."""
-    def up(x: int, t: int) -> int:
-        return ((x + t - 1) // t) * t
-
-    return MMProblem(up(problem.M, tile.m), up(problem.K, tile.k),
-                     up(problem.N, tile.n), problem.element_bytes)
+    return MMProblem(*(-(-x // t) * t for x, t in zip(problem, tile)), problem.element_bytes)

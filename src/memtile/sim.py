@@ -135,17 +135,16 @@ def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
 
     Computing one n-long row of C takes k*n MACs against the per-core peak;
     writing it back takes n elements of bandwidth. The row is hidden exactly
-    when k*n/peak >= n/bandwidth, i.e. k >= peak/bandwidth. The predicate is
-    evaluated in exact rationals so the flip happens precisely at
-    ceil(peak/bandwidth); the reported times use idealized peak rates with
-    no startup latency.
+    when k*n/peak >= n/bandwidth, i.e. k >= peak/bandwidth. With both rates
+    as exact integer ratios the predicate is k*bw_num*peak_den >=
+    peak_num*bw_den, so the flip happens precisely at ceil(peak/bandwidth);
+    the reported times use idealized peak rates with no startup latency.
     """
-    from fractions import Fraction
-
     if row_len_n < 1:
         raise ValueError("row length must be >= 1")
     compute = tile.k * row_len_n / hw.peak_flops_per_core
     writeback = row_len_n / hw.ext_bandwidth_elems_per_s
-    hidden = (Fraction(tile.k) * Fraction(hw.ext_bandwidth_elems_per_s)
-              >= Fraction(hw.peak_flops_per_core))
+    bw_num, bw_den = hw.ext_bandwidth_elems_per_s.as_integer_ratio()
+    peak_num, peak_den = hw.peak_flops_per_core.as_integer_ratio()
+    hidden = tile.k * bw_num * peak_den >= peak_num * bw_den
     return StreamTimingReport(compute, writeback, hidden)

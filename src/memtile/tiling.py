@@ -12,7 +12,7 @@ with a = m+1, b = n+1 the budget is ab - 1 <= R and the intensity is
 (ab-1)/(a+b-2) - 1, which for a fixed product ab peaks at a = b and grows
 with ab. The square meets the bound exactly when R+1 is a perfect square.
 Between square footprints a rectangle can use the leftover slots better;
-best_register_tile finds the integer optimum by exhaustive search.
+best_register_tile finds the integer optimum in one pass over m.
 
 For multicore devices the same idea is lifted to constant-bandwidth (CB)
 blocks: scaling a block from m x k x n to pm x k x pn when p cores are
@@ -20,8 +20,8 @@ used keeps the off-chip bandwidth demand (m+n)/(mn) * f independent of p,
 at the price of local memory growing as pmk + kpn + p^2 mn.
 
 TileShape and CBBlock are immutable tuple records, checked when built.
-The functions that compare exact rationals import fractions themselves,
-so importing this module does not.
+Intensities compare by cross-multiplying integers, and a rate is one
+correctly rounded integer division.
 """
 
 from __future__ import annotations
@@ -103,29 +103,21 @@ def derive_square_tile(reuse_registers: int) -> int:
 
 
 def best_register_tile(reuse_registers: int) -> tuple[int, int]:
-    """Exhaustive (m, n) maximizing mn/(m+n) subject to m + n + mn <= budget.
+    """The (m, n) maximizing mn/(m+n) subject to m + n + mn <= budget.
 
     Integer budgets between consecutive square sizes are sometimes used
     better by a rectangle, so this can beat the square from
-    derive_square_tile. Ties go to larger m, then larger n.
+    derive_square_tile. mn/(m+n) grows with n, so each m is best with the
+    largest n that fits, (budget - m) // (m + 1). Ties go to larger m.
     """
-    from fractions import Fraction
-
     if reuse_registers < 3:
         raise ValueError("no feasible tile: need at least 3 reusable registers")
-    best_val = Fraction(0)
-    best_pair = (1, 1)
-    for m in range(1, reuse_registers):
-        if m + 1 + m > reuse_registers:
-            break
-        for n in range(1, reuse_registers):
-            if m + n + m * n > reuse_registers:
-                break
-            val = Fraction(m * n, m + n)
-            if val > best_val or (val == best_val and (m, n) > best_pair):
-                best_val = val
-                best_pair = (m, n)
-    return best_pair
+    best_m = best_n = 1
+    for m in range(1, (reuse_registers + 1) // 2):  # m + 1 + m <= budget
+        n = (reuse_registers - m) // (m + 1)
+        if m * n * (best_m + best_n) >= best_m * best_n * (m + n):
+            best_m, best_n = m, n
+    return best_m, best_n
 
 
 def derive_cake_block(p: int, local_memory_elems: int) -> CBBlock:
@@ -148,14 +140,13 @@ def derive_cake_block(p: int, local_memory_elems: int) -> CBBlock:
 def cake_offchip_bw(m: int, n: int, f: float) -> float:
     """Off-chip bandwidth demand of a CB block: (m+n)/(mn) * f elements/second.
 
-    Independent of the core factor p by construction; computed through exact
-    rationals so it compares bit-for-bit against the simulator's IO/time.
+    Independent of the core factor p by construction; with f = num/den
+    exactly, it is the one correctly rounded division (m+n)num / (mn den),
+    so it compares bit-for-bit against the simulator's IO/time.
     """
-    from fractions import Fraction
-
     if m < 1 or n < 1:
         raise ValueError("tile dims must be >= 1")
     if f <= 0:
         raise ValueError("per-core peak must be positive")
-    return float(Fraction(m + n, m * n) * Fraction(f))
-
+    num, den = f.as_integer_ratio()
+    return (m + n) * num / (m * n * den)

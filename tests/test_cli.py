@@ -5,6 +5,7 @@ import json
 import os
 import random
 import stat
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -44,6 +45,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh_cli(*argv, stdin=b""):
+    """Run the CLI in a fresh interpreter with ``stdin`` piped to it and its
+    stdout a pipe; its exit code, stdout and stderr."""
+    src = str(Path(memtile.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "memtile.cli", *argv], input=stdin,
+                            capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                            timeout=120)
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
 
 
 @pytest.fixture
@@ -410,6 +422,16 @@ class TestSweep:
         assert err.startswith(f"error: {fixture}: 'utf-8' codec can't decode ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_count_too_long_to_print_names_layer_and_column(self, capsys, tmp_path, fmt):
+        fixture = tmp_path / "long.csv"
+        fixture.write_text(f"layer_id,M,K,N\n2,5,5,5\n1,{'9' * sys.get_int_max_str_digits()},1,1\n")
+        code, out, err = run_cli(capsys, "sweep", "--hw", "cortex-a72", "--fixture", str(fixture),
+                                 "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (f"error: layer 1 io_analytic has more than {sys.get_int_max_str_digits()} "
+                       "digits, too many to print\n")
+
     def test_rows_ordered_by_layer_id(self, capsys, tmp_path):
         fixture = tmp_path / "layers.csv"
         fixture.write_text("layer_id,M,K,N\n2,10,10,10\n1,5,5,5\n")
@@ -575,6 +597,16 @@ class TestOutputFiles:
         assert code == 0
         assert link.is_symlink() and real.read_text() == out
 
+    def test_pipe_is_written_only_once_every_file_is_staged(self, tmp_path):
+        """The kernel bound for a pipe on stdout waits for the descriptor, whose
+        directory is missing, so the failed command prints nothing."""
+        missing = tmp_path / "missing" / "d.json"
+        code, out, err = run_fresh_cli("emit", "--hw", M4, "40", "40", "40",
+                                       "--out", "/dev/stdout", "--descriptor-out", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_fifo_is_written_in_place(self, capsys, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
@@ -609,6 +641,29 @@ VALID = {
     "roofline": ["roofline", "--hw", M4, "-m", "5", "-n", "5"],
     "emit": ["emit", "--hw", M4, "40", "40", "40"],
 }
+
+
+@pytest.mark.parametrize("argv, bundled", [
+    (["derive", "--hw", "{}", "40", "40", "40"], "cortex-m4-fp32.json"),
+    (["sweep", "--hw", M4, "--fixture", "{}"], "mlperf-tiny.csv"),
+], ids=["hw", "fixture"])
+def test_hw_and_fixture_read_a_pipe(capsys, argv, bundled):
+    """A path that is not a regular file, here stdin as a pipe, is read as the file."""
+    text = (Path(memtile.cli.__file__).parent / "data" / bundled).read_bytes()
+    piped = run_fresh_cli(*(a.replace("{}", "/dev/stdin") for a in argv), stdin=text)
+    assert piped == run_cli(capsys, *(a.replace("{}", bundled.split(".")[0]) for a in argv))
+    assert piped[0] == 0
+
+
+def test_directory_named_like_a_bundle_is_not_read(capsys, tmp_path, monkeypatch):
+    """A directory is never read as a file: a bundled name still finds its bundle."""
+    expected = run_cli(capsys, "sweep", "--hw", M4, "--fixture", "mlperf-tiny")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / M4).mkdir()
+    (tmp_path / "mlperf-tiny").mkdir()
+    assert run_cli(capsys, "sweep", "--hw", M4, "--fixture", "mlperf-tiny") == expected
+    assert expected[0] == 0
+
 
 HUGE = str(10 ** 400)
 

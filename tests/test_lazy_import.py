@@ -189,18 +189,26 @@ def test_counting_commands_run_where_numpy_cannot_be_imported(capsys, tmp_path, 
     assert len(_files(usual)) == str(argv).count("{dir}")
 
 
-def test_memtile_imports_only_the_standard_library():
-    """Every import in the package is relative or of a standard-library module."""
+def _absolute_imports():
+    """(file name, module) for each absolute import in the package, inside
+    functions included."""
     for path in sorted((SRC / "memtile").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                yield path.name, node.module
+
+
+def test_memtile_imports_only_the_standard_library():
+    """Every import in the package is relative or of a standard-library module."""
+    for path, name in _absolute_imports():
+        assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
+
+
+def test_memtile_imports_no_fractions():
+    """Exact answers are in plain integers: no module imports fractions."""
+    assert [(p, n) for p, n in _absolute_imports() if n.split(".")[0] == "fractions"] == []
 
 
 def test_memtile_modules_share_no_private_name_and_parse_json_once():

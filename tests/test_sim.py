@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -377,6 +378,23 @@ class TestStreamingHiding:
             for k in range(max(1, threshold - 2), threshold + 3):
                 rep = check_streaming_hiding(make_hw(peak, bw), TileShape(3, k, 3), 7)
                 assert rep.hidden == (k >= threshold)
+
+    def test_equals_the_exact_rational_predicate(self):
+        """Random, huge and near-threshold rates against the Fraction form."""
+        rng = random.Random(35)
+        rates = [rng.uniform(1, 1e6) for _ in range(40)]
+        # Exponents that keep both reported times inside the float range.
+        rates += [math.ldexp(rng.random() + 0.5, rng.randrange(-500, 500)) for _ in range(40)]
+        rates += [1e150, 1e-150, 0.1, 12.5, 3, 10 ** 30, 2 ** 53 + 1]
+        for _ in range(400):
+            peak, bw = rng.choice(rates), rng.choice(rates)
+            hw = tuple.__new__(HardwareSpec, ("t", 36, 4096, bw, peak, 1, 4, ""))
+            ratio = Fraction(peak) / Fraction(bw)
+            near = -(-ratio.numerator // ratio.denominator)  # ceil(peak/bw), exact
+            for k in {1, max(1, near - 1), near, near + 1, rng.randrange(1, 10 ** 40)}:
+                hidden = Fraction(k) * Fraction(bw) >= Fraction(peak)
+                rep = check_streaming_hiding(hw, TileShape(3, k, 3), 7)
+                assert rep.hidden == hidden, (peak, bw, k)
 
 
 class TestCakeBandwidth:

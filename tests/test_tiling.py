@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,17 @@ class TestBestRegisterTile:
             m, n = best_register_tile(budget)
             assert Fraction(m * n, m + n) == best_val
 
+    def test_matches_exhaustive_scan_on_every_budget_to_1000(self):
+        # Each pair joins the scan at the budget equal to its footprint
+        # m + n + mn, so every budget sees every pair that fits it.
+        best = (Fraction(0), 0, 0)  # value, then the larger m, then the larger n
+        for budget in range(3, 1001):
+            for m in range(1, budget):
+                n, rest = divmod(budget - m, m + 1)
+                if n >= 1 and rest == 0:
+                    best = max(best, (Fraction(m * n, m + n), m, n))
+            assert best_register_tile(budget) == best[1:], budget
+
     def test_tie_break_toward_larger_m(self):
         # at 20, both (3,4) and (4,3) hit 12/7; larger m wins
         assert best_register_tile(20) == (4, 3)
@@ -163,6 +176,34 @@ class TestCakeBandwidth:
             blk = derive_cake_block(p, 100 * (2 * p + p * p))
             assert blk.m == 10
             assert cake_offchip_bw(blk.m, blk.n, 100.0) == ref
+
+    def test_equals_the_rounded_exact_rational(self):
+        """The Fraction form is the oracle, its exception included."""
+        def exact(m, n, f):
+            try:
+                return float(Fraction(m + n, m * n) * Fraction(f))
+            except OverflowError:
+                return OverflowError
+
+        def dim():
+            return rng.choice([rng.randrange(1, 100), rng.randrange(1, 10 ** 30)])
+
+        rng = random.Random(35)
+        # Huge dims and rates at the ends of the float range, then random ones.
+        dims = [1, 2, 3, 7, 10 ** 20, 2 ** 64 - 1, 10 ** 400]
+        rates = [1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308, 1e308, 7, 10 ** 400]
+        cases = [(m, n, f) for m in dims for n in dims for f in rates]
+        for _ in range(3000):
+            rate = rng.choice([rng.uniform(1e-3, 1e9), rng.randrange(1, 10 ** 30),
+                               math.ldexp(rng.random() + 0.5, rng.randrange(-1074, 1024))])
+            cases.append((dim(), dim(), rate))
+        for m, n, f in cases:
+            want = exact(m, n, f)
+            if want is OverflowError:
+                with pytest.raises(OverflowError):
+                    cake_offchip_bw(m, n, f)
+            else:
+                assert cake_offchip_bw(m, n, f) == want, (m, n, f)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
