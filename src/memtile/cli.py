@@ -319,30 +319,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_files(files: dict[str, str]) -> None:
     """Write every file, or on an error leave each regular one as it was: a
     regular or new target is written to a temporary beside it, and the
-    temporaries replace their targets once all are written. Any other target
-    (``/dev/stdout``, a FIFO) is written in place, once every temporary is,
-    so a target that cannot be staged writes nothing. Errors name the path given."""
-    staged, in_place = [], []  # (temporary, target), (path, content)
+    temporaries replace their targets once all are written. At most one other
+    target (``/dev/stdout``, a FIFO) is taken, as its write cannot be taken
+    back; it is written in place once every temporary is, so a target that
+    cannot be staged writes nothing. Errors name the path given."""
+    in_place = [path for path in files if os.path.exists(path) and not os.path.isfile(path)]
+    if len(in_place) > 1:
+        raise ValueError("only one output may be a stream or other non-regular file, "
+                         f"not both {in_place[0]} and {in_place[1]}")
+    staged = []  # (temporary, target)
     try:
-        for path, content in files.items():
-            if os.path.exists(path) and not os.path.isfile(path):
-                in_place.append((path, content))
-                continue
-            target = os.path.realpath(path)  # through a symlink to its file
-            temporary = os.path.join(os.path.dirname(target),
-                                     f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        for path in sorted(files, key=in_place.__contains__):  # in place last
             try:
+                if path in in_place:
+                    with open(path, "w", encoding="utf-8") as f:
+                        f.write(files[path])
+                    continue
+                target = os.path.realpath(path)  # through a symlink to its file
+                temporary = os.path.join(os.path.dirname(target),
+                                         f".{os.path.basename(target)}.{os.getpid()}.tmp")
                 with open(temporary, "x", encoding="utf-8") as f:
                     staged.append((temporary, target))
-                    f.write(content)
+                    f.write(files[path])
                 if os.path.isfile(target):  # keep the replaced file's permissions
                     os.chmod(temporary, os.stat(target).st_mode & 0o7777)
             except OSError as exc:
                 exc.filename = path
                 raise
-        for path, content in in_place:
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(content)
         for temporary, target in staged:
             os.replace(temporary, target)
     except BaseException:

@@ -107,9 +107,6 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
                 f"but total_io_elems is {desc.total_io_elems}")
         return desc
 
-    def problem(self) -> MMProblem:
-        return MMProblem(self.M, self.K, self.N, self.element_bytes)
-
     def schedule(self) -> Schedule:
         return Schedule(LoopOrder.parse(self.order), TileShape(self.m, self.k, self.n))
 

@@ -33,20 +33,11 @@ runs an emitted kernel's loop nest is a test oracle, in tests/oracles.py.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import chain, repeat
 
-from .hardware import HardwareSpec
 from .io_model import (CANONICAL_ORDER, CLASS_PRIORITY, InnerClass, IOReport, LoopOrder,
                        MMProblem, Schedule)
 from .tiling import TileShape
-
-
-class StreamTimingReport(namedtuple("StreamTimingReport",
-                                    "compute_time_per_row writeback_time_per_row hidden")):
-    """Can writing one finished output row overlap computing the next one?"""
-
-    __slots__ = ()
 
 
 def _block_sizes(full: int, edge: int):
@@ -128,23 +119,3 @@ def brute_force_best(problem: MMProblem, tile: TileShape, *, c_zero: bool = Fals
     winner = min(CLASS_PRIORITY, key=lambda cls: by_class[cls].total_elems)
     return Schedule(CANONICAL_ORDER[winner], tile), by_class[winner]
 
-
-def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
-                           row_len_n: int) -> StreamTimingReport:
-    """Decide whether writing back a finished C row hides under compute.
-
-    Computing one n-long row of C takes k*n MACs against the per-core peak;
-    writing it back takes n elements of bandwidth. The row is hidden exactly
-    when k*n/peak >= n/bandwidth, i.e. k >= peak/bandwidth. With both rates
-    as exact integer ratios the predicate is k*bw_num*peak_den >=
-    peak_num*bw_den, so the flip happens precisely at ceil(peak/bandwidth);
-    the reported times use idealized peak rates with no startup latency.
-    """
-    if row_len_n < 1:
-        raise ValueError("row length must be >= 1")
-    compute = tile.k * row_len_n / hw.peak_flops_per_core
-    writeback = row_len_n / hw.ext_bandwidth_elems_per_s
-    bw_num, bw_den = hw.ext_bandwidth_elems_per_s.as_integer_ratio()
-    peak_num, peak_den = hw.peak_flops_per_core.as_integer_ratio()
-    hidden = tile.k * bw_num * peak_den >= peak_num * bw_den
-    return StreamTimingReport(compute, writeback, hidden)

@@ -15,12 +15,11 @@ Between square footprints a rectangle can use the leftover slots better;
 best_register_tile finds the integer optimum in one pass over m.
 
 For multicore devices the same idea is lifted to constant-bandwidth (CB)
-blocks: scaling a block from m x k x n to pm x k x pn when p cores are
-used keeps the off-chip bandwidth demand (m+n)/(mn) * f independent of p,
-at the price of local memory growing as pmk + kpn + p^2 mn.
+blocks: p cores compute a pm x k x pn block, which takes pmk + kpn + p^2 mn
+elements of local memory; derive_cake_block sizes the largest square one.
 
 TileShape and CBBlock are immutable tuple records, checked when built.
-Intensities compare by cross-multiplying integers, and a rate is one
+Intensities are compared by cross-multiplying integers and computed by one
 correctly rounded integer division.
 """
 
@@ -45,9 +44,6 @@ class TileShape(namedtuple("TileShape", "m k n")):
         """Element slots for an accumulator tile plus one input column and row."""
         return self.m + self.n + self.m * self.n
 
-    def fits_registers(self, reuse_registers: int) -> bool:
-        return self.register_footprint <= reuse_registers
-
     def key(self) -> str:
         return f"{self.m}x{self.k}x{self.n}"
 
@@ -65,14 +61,6 @@ class CBBlock(namedtuple("CBBlock", "p m k n")):
         if p < 1 or min(m, k, n) < 1:
             raise ValueError("CB block dims and core factor must be >= 1")
         return super().__new__(cls, p, m, k, n)
-
-    @property
-    def block_dims(self) -> tuple[int, int, int]:
-        return (self.p * self.m, self.k, self.p * self.n)
-
-    @property
-    def local_memory_footprint(self) -> int:
-        return self.p * self.m * self.k + self.k * self.p * self.n + self.p ** 2 * self.m * self.n
 
 
 def arithmetic_intensity_of_tile(m: int, n: int) -> float:
@@ -136,17 +124,3 @@ def derive_cake_block(p: int, local_memory_elems: int) -> CBBlock:
     m = isqrt(local_memory_elems // unit)
     return CBBlock(p=p, m=m, k=m, n=m)
 
-
-def cake_offchip_bw(m: int, n: int, f: float) -> float:
-    """Off-chip bandwidth demand of a CB block: (m+n)/(mn) * f elements/second.
-
-    Independent of the core factor p by construction; with f = num/den
-    exactly, it is the one correctly rounded division (m+n)num / (mn den),
-    so it compares bit-for-bit against the simulator's IO/time.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("tile dims must be >= 1")
-    if f <= 0:
-        raise ValueError("per-core peak must be positive")
-    num, den = f.as_integer_ratio()
-    return (m + n) * num / (m * n * den)

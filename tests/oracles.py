@@ -1,18 +1,23 @@
-"""Independent oracles the tests check memtile's answers against.
+"""Independent oracles, and models no command runs, for memtile's tests.
 
 No command calls these, so they live beside the tests, not in the package:
 
   * m_first_condition (criterion 3): the paper's closed-form M-first
     selection condition, in exact rationals, against select_schedule;
-  * measure_cake_bw (criterion 4): a CB block's off-chip bandwidth as
-    IO / time, against tiling.cake_offchip_bw;
+  * cake_offchip_bw and measure_cake_bw (criterion 4): a CB block's
+    off-chip bandwidth demand in closed form, against IO / time of one
+    block; cb_local_memory_footprint is the fit that derive_cake_block's
+    blocks are checked against;
   * interpret_kernel (criterion 5): runs the loop nest emit_kernel_source
-    prints, one MAC at a time, against numpy's product and the compiled C.
+    prints, one MAC at a time, against numpy's product and the compiled C;
+  * check_streaming_hiding (criterion 7): whether writing back a finished
+    C row hides under compute, in a StreamTimingReport.
 
 This is the one place the test suite's oracles need numpy; memtile itself
 imports only the standard library.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +46,27 @@ def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
     m, k, n = tile.m, tile.k, tile.n
     return (K * (1 + M * (Fraction(2, k) - Fraction(1, m))) <= 2 * M
             and N * (1 + M * (Fraction(1, n) - Fraction(1, m))) <= M)
+
+
+def cake_offchip_bw(m: int, n: int, f: float) -> float:
+    """Off-chip bandwidth demand of a CB block: (m+n)/(mn) * f elements/second.
+
+    Independent of the core factor p by construction; with f = num/den
+    exactly, it is the one correctly rounded division (m+n)num / (mn den),
+    so it compares bit-for-bit against the simulator's IO/time.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("tile dims must be >= 1")
+    if f <= 0:
+        raise ValueError("per-core peak must be positive")
+    num, den = f.as_integer_ratio()
+    return (m + n) * num / (m * n * den)
+
+
+def cb_local_memory_footprint(block: CBBlock) -> int:
+    """Local memory a CB block takes: pmk + kpn + p^2 mn elements."""
+    return block.p * block.m * block.k + block.k * block.p * block.n \
+        + block.p ** 2 * block.m * block.n
 
 
 def measure_cake_bw(block: CBBlock, hw: HardwareSpec) -> float:
@@ -128,3 +154,31 @@ def interpret_kernel(problem: MMProblem, schedule: Schedule, a, b, c) -> tuple:
                                                       a[m0 + i, k0 + kk], b[k0 + kk, n0 + j])
                             macs += 1
     return out, macs
+
+
+class StreamTimingReport(namedtuple("StreamTimingReport",
+                                    "compute_time_per_row writeback_time_per_row hidden")):
+    """Can writing one finished output row overlap computing the next one?"""
+
+    __slots__ = ()
+
+
+def check_streaming_hiding(hw: HardwareSpec, tile: TileShape,
+                           row_len_n: int) -> StreamTimingReport:
+    """Decide whether writing back a finished C row hides under compute.
+
+    Computing one n-long row of C takes k*n MACs against the per-core peak;
+    writing it back takes n elements of bandwidth. The row is hidden exactly
+    when k*n/peak >= n/bandwidth, i.e. k >= peak/bandwidth. With both rates
+    as exact integer ratios the predicate is k*bw_num*peak_den >=
+    peak_num*bw_den, so the flip happens precisely at ceil(peak/bandwidth);
+    the reported times use idealized peak rates with no startup latency.
+    """
+    if row_len_n < 1:
+        raise ValueError("row length must be >= 1")
+    compute = tile.k * row_len_n / hw.peak_flops_per_core
+    writeback = row_len_n / hw.ext_bandwidth_elems_per_s
+    bw_num, bw_den = hw.ext_bandwidth_elems_per_s.as_integer_ratio()
+    peak_num, peak_den = hw.peak_flops_per_core.as_integer_ratio()
+    hidden = tile.k * bw_num * peak_den >= peak_num * bw_den
+    return StreamTimingReport(compute, writeback, hidden)

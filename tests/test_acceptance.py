@@ -5,7 +5,10 @@ the captured output of a failure). Expected values are either fixed
 points of the model reproduced by independent oracles (in this file or
 in oracles.py), or exact equalities between two independently implemented
 routes (closed-form accounting vs. the access-counting simulator, the
-kernel interpreter vs. numpy's product).
+kernel interpreter vs. numpy's product). Criteria 4 and 7 check models
+that no command runs, so oracles.py holds their subjects too:
+cake_offchip_bw, against measure_cake_bw (4), and check_streaming_hiding
+(7).
 """
 
 import itertools
@@ -27,16 +30,21 @@ from memtile.io_model import (
     io_for_class,
     select_schedule,
 )
-from memtile.sim import check_streaming_hiding, simulate_schedule
+from memtile.sim import simulate_schedule
 from memtile.tiling import (
     TileShape,
     arithmetic_intensity_of_tile,
     best_register_tile,
-    cake_offchip_bw,
     derive_cake_block,
     derive_square_tile,
 )
-from oracles import interpret_kernel, m_first_condition, measure_cake_bw
+from oracles import (
+    cake_offchip_bw,
+    check_streaming_hiding,
+    interpret_kernel,
+    m_first_condition,
+    measure_cake_bw,
+)
 
 T5 = TileShape(5, 5, 5)
 

@@ -143,7 +143,8 @@ class TestDerive:
                              "--out", str(out_path))
         assert code == 0
         desc = ScheduleDescriptor.from_json(out_path.read_text())
-        rep = simulate_schedule(desc.problem(), desc.schedule())
+        rep = simulate_schedule(MMProblem(desc.M, desc.K, desc.N, desc.element_bytes),
+                                desc.schedule())
         assert rep.total_elems == desc.total_io_elems
 
     def test_missing_hw_flag(self, capsys):
@@ -618,6 +619,23 @@ class TestOutputFiles:
         assert not reader.is_alive()
         assert code == 0 and received == [out]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_second_stream_is_refused_before_anything_is_written(self):
+        """The kernel bound for a pipe on stdout cannot be taken back if the
+        descriptor's write then fails, so two such targets write nothing."""
+        code, out, err = run_fresh_cli("emit", "--hw", M4, "40", "40", "40",
+                                       "--out", "/dev/stdout", "--descriptor-out", "/dev/full")
+        assert (code, out) == (1, "")
+        assert err == ("error: only one output may be a stream or other non-regular file, "
+                       "not both /dev/stdout and /dev/full\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_in_place_names_its_path(self, capsys):
+        for command in ("derive", "emit"):
+            code, out, err = run_cli(capsys, *VALID[command], "--out", "/dev/full")
+            assert (code, out) == (1, ""), command
+            assert err == "error: [Errno 28] No space left on device: '/dev/full'\n", command
 
 
 # Every option each subcommand accepts; each one is read by its handler.

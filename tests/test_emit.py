@@ -84,7 +84,7 @@ class TestDescriptor:
 
     def test_reconstructors(self):
         desc = cube40_descriptor()
-        assert desc.problem() == MMProblem(40, 40, 40)
+        assert MMProblem(desc.M, desc.K, desc.N, desc.element_bytes) == MMProblem(40, 40, 40)
         assert desc.schedule() == Schedule(LoopOrder.MNK, TileShape(5, 5, 5))
 
     def test_unknown_key_rejected(self):

@@ -11,7 +11,9 @@ cannot be imported. The import checks start a fresh interpreter, since the
 test process has long since loaded memtile and numpy. memtile reads its
 files without ``pathlib``, ``importlib.resources`` or ``csv``, and only the
 commands that write CSV load ``csv``. No memtile module imports another's
-underscore name, and JSON is parsed in one place.
+underscore name, and JSON is parsed in one place. Every function, class
+and method in the package is reached by a command, exported or traced by
+the benchmark.
 """
 
 import ast
@@ -72,7 +74,8 @@ def _loaded_after(statement: str) -> list[str]:
     ("", ["memtile"]),
     ("memtile.fixture_hardware('cortex-m4-fp32')", ["memtile", "memtile.hardware"]),
     ("memtile.load_benchmark('mlperf-tiny')", ["memtile", "memtile.benchmarks"]),
-], ids=["import", "fixture_hardware", "load_benchmark"])
+    ("memtile.simulate_schedule", ["memtile", "memtile.io_model", "memtile.sim", "memtile.tiling"]),
+], ids=["import", "fixture_hardware", "load_benchmark", "simulate_schedule"])
 def test_a_name_loads_only_its_module(statement, loaded):
     assert _loaded_after(statement) == loaded
 
@@ -226,6 +229,44 @@ def test_memtile_modules_share_no_private_name_and_parse_json_once():
                   and node.func.value.id == "json"):
                 loads.append(f"{path.name}:{node.lineno}")
     assert len(loads) == 1, loads
+
+
+def _tracer_names() -> set[str]:
+    """The names perfbench/tracer.py wraps, read without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    literals = {target.id: ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name)
+                and target.id in ("TARGETS", "DESCRIPTOR_METHODS")}
+    return ({attr for _, attr, _ in literals["TARGETS"]}
+            | {method for method, _, _ in literals["DESCRIPTOR_METHODS"]})
+
+
+def test_every_definition_is_reached():
+    """Each top-level function and class of the package, and each method or
+    property, ``__x__`` names aside, is used elsewhere in the package (a method
+    as ``.name``), exported in ``__all__`` or wrapped by the benchmark's
+    tracer. What no command reaches belongs in tests/oracles.py."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "memtile").glob("*.py"))]
+    top = [node for tree in trees for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    methods = [member for node in top if isinstance(node, ast.ClassDef)
+               for member in node.body if isinstance(member, ast.FunctionDef)]
+    reached = set(memtile.__all__) | _tracer_names()
+    unreached = []
+    for definition in top + methods:
+        name = definition.name
+        if name in reached or name.startswith("__") and name.endswith("__"):
+            continue
+        kinds = (ast.Attribute,) if definition in methods else (ast.Attribute, ast.Name)
+        inside = {id(node) for node in ast.walk(definition)}
+        uses = (node.attr if isinstance(node, ast.Attribute) else node.id
+                for tree in trees for node in ast.walk(tree)
+                if isinstance(node, kinds) and id(node) not in inside)
+        if name not in uses:
+            unreached.append(name)
+    assert unreached == []
 
 
 def test_package_declares_no_dependency():

@@ -3,7 +3,8 @@
 Every record is an immutable tuple record: built by position or keyword,
 with defaults, equal and hashed by value, printed as ``Name(field=value,
 ...)``, and its fields cannot be reassigned. The validated types reject
-bad values with the same ValueError whichever way they are built.
+bad values with the same ValueError whichever way they are built. The
+streaming-hiding oracle's StreamTimingReport keeps to the same rules.
 """
 
 import pytest
@@ -12,8 +13,8 @@ from memtile.benchmarks import BenchmarkFixture, BenchmarkLayer
 from memtile.emit import ScheduleDescriptor
 from memtile.hardware import HardwareSpec
 from memtile.io_model import IOReport, LoopOrder, MMProblem, Schedule
-from memtile.sim import StreamTimingReport
 from memtile.tiling import CBBlock, TileShape
+from oracles import StreamTimingReport
 
 LAYERS = (BenchmarkLayer(1, 2, 3, 4), BenchmarkLayer(layer_id=2, M=5, K=6, N=7))
 DESCRIPTOR = dict(M=40, K=40, N=40, element_bytes=4, order="M->N->K", m=5, k=5, n=5,
