@@ -25,9 +25,9 @@ import os
 import sys
 
 from .emit import ScheduleDescriptor, element_type, emit_descriptor, emit_kernel_source
-from .hardware import HardwareSpec, attainable_throughput, resolve_hardware, ridge_point
+from .hardware import HardwareSpec, resolve_hardware, roofline
 from .io_model import LoopOrder, MMProblem, Schedule, all_class_io, pad_to_tiles, select_schedule
-from .tiling import TileShape, arithmetic_intensity_of_tile, derive_square_tile
+from .tiling import TileShape, derive_square_tile
 
 # What each command returns: stdout text, {path: text} to write, and a note for stderr.
 Answer = tuple[str, dict[str, str], str]
@@ -103,9 +103,7 @@ def cmd_schedule(args) -> Answer:
         return desc_json, files, note
     tile = desc.schedule().tile
     _printable(register_footprint=tile.register_footprint)
-    ai = problem.macs / desc.total_io_elems
-    ridge = ridge_point(hw)
-    bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
+    ai, ridge, _, bound = roofline(hw, problem.macs, desc.total_io_elems)
     per = ", ".join(f"{cls} {total}" for cls, total in desc.per_class_total_elems.items())
     lines = [
         f"problem: M={problem.M} K={problem.K} N={problem.N} ({problem.element_bytes} B/elem)",
@@ -166,7 +164,7 @@ def cmd_sweep(args) -> Answer:
             "layer_id": layer.layer_id, "M": layer.M, "K": layer.K, "N": layer.N,
             "order": desc.order, "m": desc.m, "k": desc.k, "n": desc.n,
             "io_analytic": desc.total_io_elems, "io_simulated": simulated.total_elems,
-            "pred_throughput": attainable_throughput(hw, problem.macs / simulated.total_elems),
+            "pred_throughput": roofline(hw, problem.macs, simulated.total_elems)[2],
         })
         _printable(**{f"layer {layer.layer_id} {col}": value for col, value in rows[-1].items()})
     if args.format == "json":
@@ -184,10 +182,8 @@ def cmd_sweep(args) -> Answer:
 
 def cmd_roofline(args) -> Answer:
     hw = resolve_hardware(args.hw)
-    ai = arithmetic_intensity_of_tile(args.m, args.n)
-    ridge = ridge_point(hw)
-    bound = "compute-bound" if ai >= ridge else "bandwidth-bound"
-    attainable = attainable_throughput(hw, ai)
+    tile = TileShape(args.m, 1, args.n)  # a rank-1 update: mn MACs on m + n inputs
+    ai, ridge, attainable, bound = roofline(hw, tile.m * tile.n, tile.m + tile.n)
     payload = {"hardware": hw.name, "tile_m": args.m, "tile_n": args.n,
                "arithmetic_intensity": ai, "ridge_point": ridge,
                "attainable_throughput_macs_per_s": attainable, "classification": bound}

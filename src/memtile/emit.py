@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .hardware import HardwareSpec, attainable_throughput, parse_json, read_fields
+from .hardware import HardwareSpec, parse_json, read_fields, roofline
 from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -126,10 +126,6 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
     elems = io.total_elems
     stationary = {"A": io.loads_a, "B": io.loads_b,
                   "C": io.loads_c + io.stores_c}[schedule.stationary]
-    try:
-        ai = problem.macs / elems
-    except OverflowError:
-        raise ValueError("arithmetic intensity MKN/(total IO) is too large for a float") from None
     per_class = {cls.value: total for cls, total in (per_class_totals or {}).items()}
     return ScheduleDescriptor(
         M=problem.M, K=problem.K, N=problem.N,
@@ -143,7 +139,7 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
         total_io_elems=elems,
         total_io_bytes=elems * problem.element_bytes,
         per_class_total_elems=per_class,
-        predicted_throughput_macs_per_s=attainable_throughput(hw, ai),
+        predicted_throughput_macs_per_s=roofline(hw, problem.macs, elems)[2],
     )
 
 

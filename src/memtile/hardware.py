@@ -68,24 +68,24 @@ class HardwareSpec(namedtuple("HardwareSpec", "name reuse_registers local_memory
         return self.cores * self.peak_flops_per_core
 
 
-def ridge_point(hw: HardwareSpec) -> float:
-    """Minimum arithmetic intensity (MACs/element) at which peak throughput is reachable."""
-    return hw.peak_flops_total / hw.ext_bandwidth_elems_per_s
+def roofline(hw: HardwareSpec, macs: int, elems: int) -> tuple[float, float, float, str]:
+    """Where ``macs`` MACs over ``elems`` elements of external traffic sit on
+    the roofline of ``hw``: (intensity, ridge, attainable MACs/s, bound).
 
-
-def attainable_throughput(hw: HardwareSpec, ai: float) -> float:
-    """Roofline ceiling at intensity ``ai``: min(total peak, ai * bandwidth).
-
-    Piecewise linear in ``ai`` with its breakpoint exactly at ridge_point(hw);
-    the comparison against the ridge is done first so the plateau value is
-    exactly the total peak, free of divide-then-multiply rounding.
+    The intensity is macs/elems, the nearest float (int true division is
+    correctly rounded); past the float range it is a ValueError. It is
+    compared with the ridge first, so the plateau is exactly the total peak,
+    free of divide-then-multiply rounding; below it, min(ai * bw, peak).
     """
-    if ai < 0:
-        raise ValueError("arithmetic intensity must be >= 0")
+    try:
+        ai = macs / elems
+    except OverflowError:
+        raise ValueError("arithmetic intensity MKN/(total IO) is too large for a float") from None
     peak = hw.peak_flops_total
-    if ai >= ridge_point(hw):
-        return peak
-    return min(ai * hw.ext_bandwidth_elems_per_s, peak)
+    ridge = peak / hw.ext_bandwidth_elems_per_s
+    if ai >= ridge:
+        return ai, ridge, peak, "compute-bound"
+    return ai, ridge, min(ai * hw.ext_bandwidth_elems_per_s, peak), "bandwidth-bound"
 
 
 # Each hardware descriptor field and its JSON type, in the order they are read.

@@ -19,8 +19,8 @@ blocks: p cores compute a pm x k x pn block, which takes pmk + kpn + p^2 mn
 elements of local memory; derive_cake_block sizes the largest square one.
 
 TileShape and CBBlock are immutable tuple records, checked when built.
-Intensities are compared by cross-multiplying integers and computed by one
-correctly rounded integer division.
+Intensities are compared by cross-multiplying integers; hardware.roofline
+computes one as a float.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ class CBBlock(namedtuple("CBBlock", "p m k n")):
         if p < 1 or min(m, k, n) < 1:
             raise ValueError("CB block dims and core factor must be >= 1")
         return super().__new__(cls, p, m, k, n)
-
-
-def arithmetic_intensity_of_tile(m: int, n: int) -> float:
-    """MACs per streamed input element for an m x n accumulator tile: mn/(m+n).
-
-    Int true division is correctly rounded, so this is the nearest float to
-    the exact rational; past the float range it is a ValueError.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("tile dims must be >= 1")
-    try:
-        return m * n / (m + n)
-    except OverflowError:
-        raise ValueError("tile arithmetic intensity mn/(m+n) is too large for a float") from None
 
 
 def derive_square_tile(reuse_registers: int) -> int:

@@ -525,6 +525,10 @@ class TestEmit:
         assert out == ""
         assert err == "error: tile dims must be >= 1\n"
 
+    def test_partial_tile_rejected(self, capsys):
+        assert run_cli(capsys, "emit", "--hw", M4, "40", "40", "40", "-m", "4") \
+            == (1, "", "error: give all of -m, -k, -n or none\n")
+
     def test_stdout_source_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "emit", "--hw", M4, "40", "40", "40")
         assert code == 0
@@ -686,15 +690,23 @@ def test_directory_named_like_a_bundle_is_not_read(capsys, tmp_path, monkeypatch
 HUGE = str(10 ** 400)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["roofline", "--hw", "cortex-a72", "-m", HUGE, "-n", HUGE],
-     "tile arithmetic intensity mn/(m+n) is too large for a float"),
-    (["select", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
-     "arithmetic intensity MKN/(total IO) is too large for a float"),
-    (["emit", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
-     "arithmetic intensity MKN/(total IO) is too large for a float"),
-], ids=["roofline", "select", "emit"])
-def test_intensity_past_float_range_is_one_error_line(capsys, argv, message):
+@pytest.mark.parametrize("argv", [
+    ["roofline", "--hw", "cortex-a72", "-m", HUGE, "-n", HUGE],
+    ["select", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
+    ["emit", "--hw", M4, HUGE, HUGE, HUGE, "-m", HUGE, "-k", HUGE, "-n", HUGE],
+    # sweep's intensity is the exact count's: a HUGE cube under a wider
+    # square tile is one block, 10**1200 MACs on about 10**800 elements.
+    ["sweep", "--hw", "huge.json", "--fixture", "one.csv"],
+], ids=["roofline", "select", "emit", "sweep"])
+def test_intensity_past_float_range_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(json.dumps({
+        "name": "huge", "reuse_registers": 10 ** 1000, "local_memory_elems": 64,
+        "ext_bandwidth_elems_per_s": 40.0, "peak_flops_per_core": 100.0,
+        "cores": 1, "element_bytes": 4,
+    }))
+    (tmp_path / "one.csv").write_text(f"layer_id,M,K,N\n1,{HUGE},{HUGE},{HUGE}\n")
+    message = "arithmetic intensity MKN/(total IO) is too large for a float"
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 

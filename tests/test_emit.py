@@ -13,7 +13,7 @@ from memtile.emit import (
     emit_kernel_source,
     kernel_name,
 )
-from memtile.hardware import HardwareSpec, attainable_throughput
+from memtile.hardware import HardwareSpec, roofline
 from memtile.io_model import (
     InnerClass,
     LoopOrder,
@@ -71,8 +71,7 @@ class TestDescriptor:
 
     def test_predicted_throughput_is_roofline_value(self):
         desc = cube40_descriptor()
-        assert desc.predicted_throughput_macs_per_s \
-            == attainable_throughput(HW, 64000 / 28800)
+        assert desc.predicted_throughput_macs_per_s == roofline(HW, 64000, 28800)[2]
 
     def test_parse_emit_identity(self):
         desc = cube40_descriptor()

@@ -7,13 +7,12 @@ import pytest
 
 from memtile.hardware import (
     HardwareSpec,
-    attainable_throughput,
     fixture_hardware,
     fixture_names,
     hardware_from_dict,
     load_hardware,
     resolve_hardware,
-    ridge_point,
+    roofline,
 )
 
 
@@ -27,6 +26,11 @@ def make_hw(peak=100.0, bw=100.0, cores=1, **kw):
         cores=cores,
         **kw,
     )
+
+
+def ridge_point(hw):
+    """The ridge, which roofline returns at every intensity."""
+    return roofline(hw, 1, 1)[1]
 
 
 class TestRidgePoint:
@@ -51,30 +55,29 @@ class TestRidgePoint:
 
 class TestAttainableThroughput:
     def test_zero_intensity_zero_throughput(self):
-        assert attainable_throughput(make_hw(), 0.0) == 0.0
+        assert roofline(make_hw(), 0, 7) == (0.0, 1.0, 0.0, "bandwidth-bound")
 
     def test_ridge_reaches_total_peak_exactly(self):
         for hw in (make_hw(100, 50, 1), make_hw(123.4, 7.6, 3), make_hw(1e9, 3.0, 4)):
-            assert attainable_throughput(hw, ridge_point(hw)) == hw.peak_flops_total
+            macs, elems = ridge_point(hw).as_integer_ratio()  # exactly the ridge
+            assert roofline(hw, macs, elems)[2:] == (hw.peak_flops_total, "compute-bound")
 
     def test_bandwidth_bound_region(self):
-        assert attainable_throughput(make_hw(100, 50, 1), 1.0) == 50.0
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            attainable_throughput(make_hw(), -0.1)
+        assert roofline(make_hw(100, 50, 1), 1, 1)[2:] == (50.0, "bandwidth-bound")
 
     def test_monotone_and_flat_past_ridge(self):
         hw = make_hw(170.0, 13.0, 2)
-        ridge = ridge_point(hw)
-        samples = [ridge * x / 40 for x in range(0, 121)]
-        values = [attainable_throughput(hw, ai) for ai in samples]
+        points = [roofline(hw, macs, 40) for macs in range(0, 40 * 80)]  # 0 to 3x the ridge
+        values = [attainable for _, _, attainable, _ in points]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
-        assert all(v == hw.peak_flops_total for ai, v in zip(samples, values) if ai >= ridge)
+        assert all(attainable == hw.peak_flops_total for ai, ridge, attainable, _ in points
+                   if ai >= ridge)
+        assert all((bound == "compute-bound") == (ai >= ridge) for ai, ridge, _, bound in points)
 
     def test_roofline_point_invariant(self):
         hw = make_hw(100, 40, 1)
-        assert attainable_throughput(hw, 1.5) == min(hw.peak_flops_total, 1.5 * 40)
+        assert roofline(hw, 3, 2) == (1.5, 2.5, min(hw.peak_flops_total, 1.5 * 40),
+                                      "bandwidth-bound")
 
 
 class TestSpecInvariants:

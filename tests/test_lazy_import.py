@@ -11,9 +11,9 @@ cannot be imported. The import checks start a fresh interpreter, since the
 test process has long since loaded memtile and numpy. memtile reads its
 files without ``pathlib``, ``importlib.resources`` or ``csv``, and only the
 commands that write CSV load ``csv``. No memtile module imports another's
-underscore name, and JSON is parsed in one place. Every function, class
-and method in the package is reached by a command, exported or traced by
-the benchmark.
+underscore name, and JSON is parsed in one place, as an intensity is
+computed in one place. Every function, class and method in the package is
+reached by a command, exported or traced by the benchmark.
 """
 
 import ast
@@ -229,6 +229,19 @@ def test_memtile_modules_share_no_private_name_and_parse_json_once():
                   and node.func.value.id == "json"):
                 loads.append(f"{path.name}:{node.lineno}")
     assert len(loads) == 1, loads
+
+
+def test_only_the_roofline_divides_macs():
+    """One roofline: hardware.roofline alone turns MACs over traffic into an
+    intensity, so no other module has ``macs`` or ``x.macs`` left of a ``/``."""
+    divisions = []
+    for path in sorted((SRC / "memtile").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and "macs" in (getattr(node.left, "id", None),
+                                   getattr(node.left, "attr", None))):
+                divisions.append(f"{path.name}:{node.lineno}")
+    assert [d.split(":")[0] for d in divisions] == ["hardware.py"], divisions
 
 
 def _tracer_names() -> set[str]:

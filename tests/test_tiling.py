@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from memtile.hardware import HardwareSpec, roofline
 from memtile.tiling import (
     CBBlock,
     TileShape,
-    arithmetic_intensity_of_tile,
     best_register_tile,
     derive_cake_block,
     derive_square_tile,
@@ -30,29 +30,36 @@ def feasible_pairs(budget):
                 yield m, n
 
 
+def intensity(m, n):
+    """The roofline command's intensity for an m x n accumulator tile: its
+    rank-1 update, the block m x 1 x n, does mn MACs on m + n inputs."""
+    tile = TileShape(m, 1, n)
+    return roofline(HardwareSpec("unit", 3, 1, 1.0, 1.0), tile.m * tile.n, tile.m + tile.n)[0]
+
+
 class TestIntensity:
     def test_unit_tile(self):
-        assert arithmetic_intensity_of_tile(1, 1) == 0.5
+        assert intensity(1, 1) == 0.5
 
     def test_square_five(self):
-        assert arithmetic_intensity_of_tile(5, 5) == 2.5
+        assert intensity(5, 5) == 2.5
 
     def test_eight_by_twelve(self):
-        assert arithmetic_intensity_of_tile(8, 12) == 4.8
+        assert intensity(8, 12) == 4.8
 
     def test_rejects_zero_dims(self):
-        with pytest.raises(ValueError):
-            arithmetic_intensity_of_tile(0, 5)
-        with pytest.raises(ValueError):
-            arithmetic_intensity_of_tile(5, 0)
+        with pytest.raises(ValueError, match="tile dims must be >= 1"):
+            intensity(0, 5)
+        with pytest.raises(ValueError, match="tile dims must be >= 1"):
+            intensity(5, 0)
 
     def test_is_the_nearest_float_to_the_exact_rational(self):
         for m in range(1, 65):
             for n in range(1, 65):
-                assert arithmetic_intensity_of_tile(m, n) == float(Fraction(m * n, m + n))
+                assert intensity(m, n) == float(Fraction(m * n, m + n))
 
     def test_strictly_increasing_on_squares(self):
-        values = [arithmetic_intensity_of_tile(t, t) for t in range(1, 60)]
+        values = [intensity(t, t) for t in range(1, 60)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -113,6 +120,10 @@ class TestBestRegisterTile:
     def test_paper_budget_recovers_the_square(self):
         assert best_register_tile(36) == (5, 5)
 
+    def test_infeasible_budget(self):
+        with pytest.raises(ValueError, match="no feasible tile"):
+            best_register_tile(2)
+
 
 class TestTileShape:
     def test_register_footprint(self):
@@ -159,6 +170,10 @@ class TestDeriveCakeBlock:
     def test_infeasible_local_memory(self):
         with pytest.raises(ValueError, match="cannot hold"):
             derive_cake_block(4, 23)
+
+    def test_rejects_core_factor_below_one(self):
+        with pytest.raises(ValueError, match="core factor must be >= 1"):
+            derive_cake_block(0, 1024)
 
 
 class TestCakeBandwidth:
