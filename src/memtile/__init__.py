@@ -21,7 +21,6 @@ _EXPORTS = {
     "MMProblem": "io_model",
     "Schedule": "io_model",
     "TileShape": "tiling",
-    "best_register_tile": "tiling",
     "derive_square_tile": "tiling",
     "emit_descriptor": "emit",
     "emit_kernel_source": "emit",

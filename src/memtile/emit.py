@@ -5,9 +5,12 @@ the problem, the chosen tile and loop order, the analytic IO accounting,
 and the roofline throughput prediction. Serialization is canonical
 (sorted keys, fixed separators), so emit -> parse -> re-emit is
 byte-identical. Its fields, in order, and the JSON type of each come from
-one table, _DESCRIPTOR_FIELDS. Parsing follows the strict-JSON rules that
-hardware descriptors follow too, which live in memtile.hardware
-(parse_json and read_fields); from_json adds the descriptor's own checks.
+one table, _DESCRIPTOR_FIELDS, and the fields that follow from others from
+one function, _derived_fields, which emit_descriptor builds with and the
+constructor checks with. Every rule lives in the constructor, so a
+descriptor is checked however it is built. Parsing follows the strict-JSON
+rules that hardware descriptors follow too, which live in memtile.hardware
+(parse_json and read_fields); from_json only parses and builds.
 
 Kernel generation produces a single self-contained C translation unit
 realizing the blocked loop nest with a scalar rank-1 microkernel: three
@@ -23,7 +26,7 @@ import json
 from collections import namedtuple
 
 from .hardware import HardwareSpec, parse_json, read_fields, roofline
-from .io_model import InnerClass, IOReport, LoopOrder, MMProblem, Schedule
+from .io_model import CLASS_PRIORITY, InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
 SCHEMA_VERSION = "v1"
@@ -49,15 +52,57 @@ _DESCRIPTOR_FIELDS = {
     "total_io_bytes": int, "per_class_total_elems": dict,
     "predicted_throughput_macs_per_s": float, "schema": str,
 }
-# Each per_class_total_elems key, all optional: the class names.
-_CLASS_FIELDS = {c.value: int for c in InnerClass}
+# Each per_class_total_elems key, all required: the class names, in tie-break
+# order, which is their sorted order in JSON too.
+_CLASS_FIELDS = {c.value: int for c in CLASS_PRIORITY}
+
+
+def _derived_fields(order: str, total_io_elems: int, stationary_elems: int,
+                    element_bytes: int) -> dict:
+    """The descriptor fields that follow from others: the order's class and
+    stationary operand, the streamed rest of the traffic, and its bytes."""
+    inner = LoopOrder.parse(order).inner_class
+    return {"inner_class": inner.value, "stationary": inner.stationary,
+            "streaming_elems": total_io_elems - stationary_elems,
+            "total_io_bytes": total_io_elems * element_bytes}
 
 
 class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
                                     defaults=(SCHEMA_VERSION,))):
-    """Flat, versioned record of a derived schedule; the "v1" JSON schema."""
+    """Flat, versioned record of a derived schedule; the "v1" JSON schema.
+
+    Checked when built: each field has its JSON type; dims, tile sizes and
+    element_bytes are positive; all three class totals are given, none
+    negative, the chosen one equal to total_io_elems; and the derived
+    fields are what _derived_fields gives. Else a ValueError names the field.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScheduleDescriptor:
+        values = read_fields(super().__new__(cls, *args, **kwargs)._asdict(),
+                             _DESCRIPTOR_FIELDS, "descriptor")
+        if values["schema"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported descriptor schema {values['schema']!r}")
+        for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
+            if values[name] < 1:
+                raise ValueError(f"{name} must be >= 1, got {values[name]}")
+        per_class = values["per_class_total_elems"] = read_fields(
+            values["per_class_total_elems"], _CLASS_FIELDS, "per_class_total_elems")
+        for c, total in per_class.items():
+            if total < 0:
+                raise ValueError(f"per_class_total_elems {c} must be >= 0, got {total}")
+        derived = _derived_fields(values["order"], values["total_io_elems"],
+                                  values["stationary_elems"], values["element_bytes"])
+        for name, value in derived.items():
+            if values[name] != value:
+                raise ValueError(f"{name} {values[name]!r} != {value!r} derived from order, "
+                                 "total_io_elems, stationary_elems and element_bytes")
+        chosen = per_class[values["inner_class"]]
+        if chosen != values["total_io_elems"]:
+            raise ValueError(f"per_class_total_elems {values['inner_class']} is {chosen}, "
+                             f"but total_io_elems is {values['total_io_elems']}")
+        return super().__new__(cls, **values)
 
     def to_json(self) -> str:
         return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": "),
@@ -65,57 +110,23 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleDescriptor":
-        """Parse and check a descriptor; anything malformed or inconsistent is a ValueError.
-
-        The JSON and each field's type follow memtile.hardware's strict-JSON
-        rules. Dims, tile sizes and element_bytes must be positive, the totals
-        must add up, and ``order`` must parse and agree with ``inner_class``
-        and ``stationary``. A non-empty ``per_class_total_elems`` holds no
-        negative total, and its ``inner_class`` entry equals ``total_io_elems``.
-        """
+        """Parse a descriptor: JSON by memtile.hardware's strict rules, no key
+        missing and none unknown, then built, and so checked, by the
+        constructor. Anything malformed or inconsistent is a ValueError."""
         raw = parse_json(text)
         if isinstance(raw, dict) and raw.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported descriptor schema {raw.get('schema')!r}")
-        values = read_fields(raw, _DESCRIPTOR_FIELDS, "descriptor")
-        for name in ("M", "K", "N", "m", "k", "n", "element_bytes"):
-            if values[name] < 1:
-                raise ValueError(f"{name} must be >= 1, got {values[name]}")
-        values["per_class_total_elems"] = read_fields(
-            values["per_class_total_elems"], _CLASS_FIELDS, "per_class_total_elems",
-            optional=frozenset(_CLASS_FIELDS))
-        for c, total in values["per_class_total_elems"].items():
-            if total < 0:
-                raise ValueError(f"per_class_total_elems {c} must be >= 0, got {total}")
-        desc = cls(**values)
-        if desc.total_io_elems != desc.streaming_elems + desc.stationary_elems:
-            raise ValueError(
-                f"total_io_elems {desc.total_io_elems} != streaming_elems "
-                f"{desc.streaming_elems} + stationary_elems {desc.stationary_elems}")
-        if desc.total_io_bytes != desc.total_io_elems * desc.element_bytes:
-            raise ValueError(
-                f"total_io_bytes {desc.total_io_bytes} != total_io_elems "
-                f"{desc.total_io_elems} * element_bytes {desc.element_bytes}")
-        inner = LoopOrder.parse(desc.order).inner_class
-        if (desc.inner_class, desc.stationary) != (inner.value, inner.stationary):
-            raise ValueError(
-                f"order {desc.order} is {inner.value} with {inner.stationary} stationary, "
-                f"but the descriptor says {desc.inner_class} with {desc.stationary} stationary")
-        chosen = desc.per_class_total_elems.get(desc.inner_class)
-        if desc.per_class_total_elems and chosen != desc.total_io_elems:
-            raise ValueError(
-                f"per_class_total_elems {desc.inner_class} is {chosen}, "
-                f"but total_io_elems is {desc.total_io_elems}")
-        return desc
+        return cls(**read_fields(raw, _DESCRIPTOR_FIELDS, "descriptor"))
 
     def schedule(self) -> Schedule:
         return Schedule(LoopOrder.parse(self.order), TileShape(self.m, self.k, self.n))
 
 
 def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
-                    hw: HardwareSpec,
-                    per_class_totals: dict[InnerClass, int] | None = None,
+                    hw: HardwareSpec, per_class_totals: dict[InnerClass, int],
                     ) -> ScheduleDescriptor:
-    """Assemble the descriptor for one (problem, schedule, IO) outcome.
+    """Assemble the descriptor for one (problem, schedule, IO) outcome and
+    each class's total.
 
     The stationary part of the traffic is the stationary operand's: its
     loads, and for C its stores too; the rest is streamed. The throughput
@@ -126,20 +137,13 @@ def emit_descriptor(problem: MMProblem, schedule: Schedule, io: IOReport,
     elems = io.total_elems
     stationary = {"A": io.loads_a, "B": io.loads_b,
                   "C": io.loads_c + io.stores_c}[schedule.stationary]
-    per_class = {cls.value: total for cls, total in (per_class_totals or {}).items()}
     return ScheduleDescriptor(
-        M=problem.M, K=problem.K, N=problem.N,
-        element_bytes=problem.element_bytes,
-        order=schedule.order.value,
-        m=schedule.tile.m, k=schedule.tile.k, n=schedule.tile.n,
-        inner_class=schedule.inner_class.value,
-        stationary=schedule.stationary,
-        streaming_elems=elems - stationary,
-        stationary_elems=stationary,
-        total_io_elems=elems,
-        total_io_bytes=elems * problem.element_bytes,
-        per_class_total_elems=per_class,
+        M=problem.M, K=problem.K, N=problem.N, element_bytes=problem.element_bytes,
+        order=schedule.order.value, m=schedule.tile.m, k=schedule.tile.k, n=schedule.tile.n,
+        stationary_elems=stationary, total_io_elems=elems,
+        per_class_total_elems={cls.value: total for cls, total in per_class_totals.items()},
         predicted_throughput_macs_per_s=roofline(hw, problem.macs, elems)[2],
+        **_derived_fields(schedule.order.value, elems, stationary, problem.element_bytes),
     )
 
 

@@ -16,9 +16,10 @@ best_register_tile finds the integer optimum in one pass over m.
 
 For multicore devices the same idea is lifted to constant-bandwidth (CB)
 blocks: p cores compute a pm x k x pn block, which takes pmk + kpn + p^2 mn
-elements of local memory; derive_cake_block sizes the largest square one.
+elements of local memory; derive_cake_block sizes the largest square one
+and returns the per-core m x k x n TileShape.
 
-TileShape and CBBlock are immutable tuple records, checked when built.
+TileShape is an immutable tuple record, checked when built.
 Intensities are compared by cross-multiplying integers; hardware.roofline
 computes one as a float.
 """
@@ -46,21 +47,6 @@ class TileShape(namedtuple("TileShape", "m k n")):
 
     def key(self) -> str:
         return f"{self.m}x{self.k}x{self.n}"
-
-
-class CBBlock(namedtuple("CBBlock", "p m k n")):
-    """Constant-bandwidth block: p cores each compute an m x k x n sub-block.
-
-    The full block has shape pm x k x pn; its C tile (pm x pn) stays in the
-    shared local memory while A (pm x k) and B (k x pn) tiles stream through.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, m: int, k: int, n: int) -> CBBlock:
-        if p < 1 or min(m, k, n) < 1:
-            raise ValueError("CB block dims and core factor must be >= 1")
-        return super().__new__(cls, p, m, k, n)
 
 
 def derive_square_tile(reuse_registers: int) -> int:
@@ -94,8 +80,9 @@ def best_register_tile(reuse_registers: int) -> tuple[int, int]:
     return best_m, best_n
 
 
-def derive_cake_block(p: int, local_memory_elems: int) -> CBBlock:
-    """Largest square CB sub-block (m = k = n) fitting the shared local memory.
+def derive_cake_block(p: int, local_memory_elems: int) -> TileShape:
+    """Largest square per-core CB sub-block (m = k = n) fitting the shared
+    local memory, as the TileShape(m, m, m) each of the p cores computes.
 
     With m = k = n the footprint pmk + kpn + p^2 mn becomes m^2 (2p + p^2),
     so m = isqrt(LM // (2p + p^2)).
@@ -108,5 +95,4 @@ def derive_cake_block(p: int, local_memory_elems: int) -> CBBlock:
             f"local memory of {local_memory_elems} elements cannot hold a CB block "
             f"for p={p} (needs at least {unit})")
     m = isqrt(local_memory_elems // unit)
-    return CBBlock(p=p, m=m, k=m, n=m)
-
+    return TileShape(m, m, m)

@@ -6,8 +6,8 @@ No command calls these, so they live beside the tests, not in the package:
     selection condition, in exact rationals, against select_schedule;
   * cake_offchip_bw and measure_cake_bw (criterion 4): a CB block's
     off-chip bandwidth demand in closed form, against IO / time of one
-    block; cb_local_memory_footprint is the fit that derive_cake_block's
-    blocks are checked against;
+    CBBlock; cb_local_memory_footprint is the fit that derive_cake_block's
+    per-core tiles are checked against, as CBBlock(p, *tile);
   * interpret_kernel (criterion 5): runs the loop nest emit_kernel_source
     prints, one MAC at a time, against numpy's product and the compiled C;
   * check_streaming_hiding (criterion 7): whether writing back a finished
@@ -25,7 +25,7 @@ import numpy as np
 from memtile.emit import element_type
 from memtile.hardware import HardwareSpec
 from memtile.io_model import MMProblem, Schedule
-from memtile.tiling import CBBlock, TileShape
+from memtile.tiling import TileShape
 
 
 def m_first_condition(problem: MMProblem, tile: TileShape) -> bool:
@@ -61,6 +61,21 @@ def cake_offchip_bw(m: int, n: int, f: float) -> float:
         raise ValueError("per-core peak must be positive")
     num, den = f.as_integer_ratio()
     return (m + n) * num / (m * n * den)
+
+
+class CBBlock(namedtuple("CBBlock", "p m k n")):
+    """Constant-bandwidth block: p cores each compute an m x k x n sub-block.
+
+    The full block has shape pm x k x pn; its C tile (pm x pn) stays in the
+    shared local memory while A (pm x k) and B (k x pn) tiles stream through.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, m: int, k: int, n: int) -> "CBBlock":
+        if p < 1 or min(m, k, n) < 1:
+            raise ValueError("CB block dims and core factor must be >= 1")
+        return super().__new__(cls, p, m, k, n)
 
 
 def cb_local_memory_footprint(block: CBBlock) -> int:

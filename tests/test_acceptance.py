@@ -38,6 +38,7 @@ from memtile.tiling import (
     derive_square_tile,
 )
 from oracles import (
+    CBBlock,
     cake_offchip_bw,
     check_streaming_hiding,
     interpret_kernel,
@@ -120,7 +121,7 @@ def test_criterion_4_cake_bandwidth_invariance():
         hw = HardwareSpec("cb", 36, 10 ** 9, 1.0, f)
         values = set()
         for p in (1, 2, 4, 8):
-            block = derive_cake_block(p, 100 * (2 * p + p * p))
+            block = CBBlock(p, *derive_cake_block(p, 100 * (2 * p + p * p)))
             ok &= block.m == 10
             measured = measure_cake_bw(block, hw)
             ok &= measured == cake_offchip_bw(block.m, block.n, f)

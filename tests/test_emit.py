@@ -157,28 +157,34 @@ class TestDescriptor:
         ("predicted_throughput_macs_per_s", float("nan"), "must be finite"),
         ("order", 5, "order must be a string"),
         ("per_class_total_elems", [28800], "must be an object"),
-        ("per_class_total_elems", {"K-first": 28800.5}, "K-first must be an integer"),
-        ("total_io_elems", 12345, "total_io_elems 12345 != streaming_elems"),
-        ("total_io_bytes", 28800, "total_io_bytes 28800 != total_io_elems"),
+        ("per_class_total_elems", {"K-first": 28800.5, "M-first": 40000, "N-first": 40000},
+         "K-first must be an integer"),
+        ("total_io_elems", 12345, "streaming_elems 25600 != 9145 derived from order, "
+                                  "total_io_elems, stationary_elems and element_bytes"),
+        ("total_io_bytes", 28800, "total_io_bytes 28800 != 115200 derived from"),
         ("order", "M->M->K", "unknown loop order"),
-        ("inner_class", "M-first", "order M->N->K is K-first"),
-        ("stationary", "A", "order M->N->K is K-first with C stationary"),
+        ("inner_class", "M-first", "inner_class 'M-first' != 'K-first' derived from"),
+        ("stationary", "A", "stationary 'A' != 'C' derived from"),
         ("M", -64, "M must be >= 1, got -64"),
         ("n", 0, "n must be >= 1, got 0"),
         ("element_bytes", 0, "element_bytes must be >= 1, got 0"),
-        ("per_class_total_elems", {"bogus": 28800}, "unknown per_class_total_elems keys"),
-        ("per_class_total_elems", {"K-first": 28800, "M-first": -3},
+        ("per_class_total_elems", {"K-first": 28800, "M-first": 40000, "bogus": 28800},
+         "unknown per_class_total_elems keys"),
+        ("per_class_total_elems", {"K-first": 28800, "M-first": -3, "N-first": 40000},
          "per_class_total_elems M-first must be >= 0, got -3"),
-        ("per_class_total_elems", {"K-first": 12345, "M-first": 30000},
+        ("per_class_total_elems", {"K-first": 12345, "M-first": 30000, "N-first": 40000},
          "per_class_total_elems K-first is 12345, but total_io_elems is 28800"),
-        ("per_class_total_elems", {"M-first": 30000},
-         "per_class_total_elems K-first is None, but total_io_elems is 28800"),
+        ("per_class_total_elems", {"M-first": 30000, "N-first": 40000},
+         r"per_class_total_elems keys: \['K-first'\]"),
     ])
     def test_bad_field_rejected(self, key, value, match):
+        """The same ValueError whether the descriptor is parsed or built."""
         raw = json.loads(cube40_descriptor().to_json())
         raw[key] = value
         with pytest.raises(ValueError, match=match):
             ScheduleDescriptor.from_json(json.dumps(raw))
+        with pytest.raises(ValueError, match=match):
+            ScheduleDescriptor(**raw)
 
 
 class TestInterpreter:

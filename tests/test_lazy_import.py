@@ -101,7 +101,7 @@ def test_lazily_loaded_modules_show_in_importtime():
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(memtile.__all__) == 13
+    assert len(memtile.__all__) == 12
     for name in memtile.__all__:
         value = getattr(memtile, name)
         assert value.__module__.startswith("memtile."), name
@@ -242,6 +242,30 @@ def test_only_the_roofline_divides_macs():
                                    getattr(node.left, "attr", None))):
                 divisions.append(f"{path.name}:{node.lineno}")
     assert [d.split(":")[0] for d in divisions] == ["hardware.py"], divisions
+
+
+def test_only_the_derived_field_function_derives_descriptor_fields():
+    """One definition of a descriptor's derived fields: no function but
+    emit._derived_fields multiplies by ``element_bytes`` or adds or subtracts
+    ``stationary_elems``, as a name or as ``x.name``."""
+    def names(node):
+        return {getattr(side, "id", None) or getattr(side, "attr", None)
+                for side in (node.left, node.right)}
+
+    found = []
+    for path in sorted((SRC / "memtile").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost enclosing function
+        for parent in ast.walk(tree):  # breadth first: a parent before its children
+            for child in ast.iter_child_nodes(parent):
+                owner[child] = (parent.name if isinstance(parent, ast.FunctionDef)
+                                else owner.get(parent, "<module>"))
+            if isinstance(parent, ast.BinOp) and (
+                    isinstance(parent.op, ast.Mult) and "element_bytes" in names(parent)
+                    or isinstance(parent.op, (ast.Add, ast.Sub))
+                    and "stationary_elems" in names(parent)):
+                found.append((path.name, owner[parent], parent.lineno))
+    assert [(p, f) for p, f, _ in found] == [("emit.py", "_derived_fields")] * 2, found
 
 
 def _tracer_names() -> set[str]:

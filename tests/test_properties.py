@@ -9,7 +9,9 @@ printed passes ScheduleDescriptor.from_json. Their ``--out`` and
 exit 1 leaves it as it was, and an exit 0 leaves exactly the named files
 besides, each holding what the command prints as that artifact. Generated
 descriptor JSON goes through from_json and generated layer tables through
-load_benchmark; each either parses or raises ValueError. Integers reach
+load_benchmark; each either parses or raises ValueError. Generated
+ScheduleDescriptor arguments either raise ValueError or build a descriptor
+that parses back to itself. Integers reach
 past the float range (2**1024) and up to the 4,300 digits that Python reads
 and prints, so their products can be too long to print.
 
@@ -78,13 +80,13 @@ def parse_json(text: str):
 
 
 @st.composite
-def edited(draw, base, keys: list) -> dict:
-    """A dict drawn from ``base`` with a few keys set to generated values and
-    maybe one dropped."""
+def edited(draw, base, keys: list, drop: bool = True) -> dict:
+    """A dict drawn from ``base`` with a few keys set to generated values and,
+    if ``drop``, maybe one dropped."""
     raw = dict(draw(base))
     for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
         raw[key] = draw(VALUES)
-    for key in draw(st.lists(st.sampled_from(sorted(raw)), max_size=1)):
+    for key in draw(st.lists(st.sampled_from(sorted(raw)), max_size=int(drop))):
         del raw[key]
     return raw
 
@@ -231,6 +233,20 @@ def test_descriptor_json_parses_or_is_a_value_error(raw):
     except ValueError:
         return
     assert ScheduleDescriptor.from_json(desc.to_json()) == desc
+
+
+@SETTINGS
+@given(kwargs=edited(st.just(DESCRIPTOR), sorted(DESCRIPTOR), drop=False))
+def test_built_descriptor_is_rejected_or_round_trips(kwargs):
+    """The constructor holds every rule from_json holds: what it builds
+    re-emits byte-identically and parses back to itself."""
+    try:
+        desc = ScheduleDescriptor(**kwargs)
+    except ValueError:
+        return
+    text = desc.to_json()
+    assert ScheduleDescriptor.from_json(text) == desc
+    assert ScheduleDescriptor.from_json(text).to_json() == text
 
 
 FIELDS = st.one_of(INTS.map(str), st.text(alphabet="0123456789 -_.,#\"x", max_size=4))

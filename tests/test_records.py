@@ -3,8 +3,9 @@
 Every record is an immutable tuple record: built by position or keyword,
 with defaults, equal and hashed by value, printed as ``Name(field=value,
 ...)``, and its fields cannot be reassigned. The validated types reject
-bad values with the same ValueError whichever way they are built. The
-streaming-hiding oracle's StreamTimingReport keeps to the same rules.
+bad values with the same ValueError whichever way they are built; Schedule,
+IOReport and BenchmarkLayer hold what they are given. The oracles' CBBlock and
+StreamTimingReport keep to the same rules.
 """
 
 import pytest
@@ -13,14 +14,14 @@ from memtile.benchmarks import BenchmarkFixture, BenchmarkLayer
 from memtile.emit import ScheduleDescriptor
 from memtile.hardware import HardwareSpec
 from memtile.io_model import IOReport, LoopOrder, MMProblem, Schedule
-from memtile.tiling import CBBlock, TileShape
-from oracles import StreamTimingReport
+from memtile.tiling import TileShape
+from oracles import CBBlock, StreamTimingReport
 
 LAYERS = (BenchmarkLayer(1, 2, 3, 4), BenchmarkLayer(layer_id=2, M=5, K=6, N=7))
 DESCRIPTOR = dict(M=40, K=40, N=40, element_bytes=4, order="M->N->K", m=5, k=5, n=5,
                   inner_class="K-first", stationary="C", streaming_elems=25600,
                   stationary_elems=3200, total_io_elems=28800, total_io_bytes=115200,
-                  per_class_total_elems={"K-first": 28800},
+                  per_class_total_elems={"K-first": 28800, "M-first": 40000, "N-first": 40000},
                   predicted_throughput_macs_per_s=64e6, schema="v1")
 
 # Each record type and the keyword arguments of one valid value.
@@ -119,11 +120,21 @@ def test_defaults():
      "benchmark 't' has duplicate layer ids"),
     (lambda: BenchmarkFixture(name="t", layers=(BenchmarkLayer(3, 1, 0, 1),)),
      "benchmark 't' layer 3 has non-positive dims"),
+    (lambda: ScheduleDescriptor(*{**DESCRIPTOR, "M": -5}.values()), "^M must be >= 1, got -5$"),
+    (lambda: ScheduleDescriptor(**{**DESCRIPTOR, "total_io_bytes": 7}),
+     "^total_io_bytes 7 != 115200 derived from order, total_io_elems, stationary_elems "
+     "and element_bytes$"),
+    (lambda: ScheduleDescriptor(**{**DESCRIPTOR, "per_class_total_elems": {"K-first": 28800}}),
+     r"^missing per_class_total_elems keys: \['M-first', 'N-first'\]$"),
+    (lambda: ScheduleDescriptor(*{**DESCRIPTOR, "schema": "v2"}.values()),
+     "^unsupported descriptor schema 'v2'$"),
 ], ids=["tile", "tile-keywords", "cb-p", "cb-keywords", "problem", "problem-element-bytes",
         "hw-registers", "hw-cores", "hw-bandwidth-keywords", "hw-element-bytes",
         "hw-total-peak-inf", "hw-total-peak-overflow", "hw-total-peak-nan", "hw-ridge-inf",
         "hw-ridge-zero-keywords",
-        "fixture-duplicate-ids", "fixture-dims-keywords"])
+        "fixture-duplicate-ids", "fixture-dims-keywords",
+        "descriptor-dims", "descriptor-derived-keywords", "descriptor-class-totals-keywords",
+        "descriptor-schema"])
 def test_validated_types_reject_bad_values(build, match):
     with pytest.raises(ValueError, match=match):
         build()

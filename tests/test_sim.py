@@ -24,8 +24,14 @@ from memtile.io_model import (
     select_schedule,
 )
 from memtile.sim import brute_force_best, simulate_schedule
-from memtile.tiling import CBBlock, TileShape, derive_cake_block
-from oracles import cake_offchip_bw, check_streaming_hiding, interpret_kernel, measure_cake_bw
+from memtile.tiling import TileShape, derive_cake_block
+from oracles import (
+    CBBlock,
+    cake_offchip_bw,
+    check_streaming_hiding,
+    interpret_kernel,
+    measure_cake_bw,
+)
 
 T5 = TileShape(5, 5, 5)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))  # memtile's parent
@@ -102,10 +108,11 @@ class TestOracleEquivalence:
         stationary = {InnerClass.N_FIRST: p.M * p.K, InnerClass.M_FIRST: p.K * p.N,
                       InnerClass.K_FIRST: 2 * p.M * p.N}
         hw = make_hw(64e6, 64e6)
+        totals = {cls: io_for_class(p, T5, cls).total_elems for cls in InnerClass}
         for cls, orders in ORDERS_BY_CLASS.items():
             schedule = Schedule(orders[0], T5)
-            counted = emit_descriptor(p, schedule, simulate_schedule(p, schedule), hw)
-            assert counted == emit_descriptor(p, schedule, io_for_class(p, T5, cls), hw)
+            counted = emit_descriptor(p, schedule, simulate_schedule(p, schedule), hw, totals)
+            assert counted == emit_descriptor(p, schedule, io_for_class(p, T5, cls), hw, totals)
             assert counted.stationary_elems == stationary[cls]
             assert counted.streaming_elems == counted.total_io_elems - stationary[cls]
 
@@ -290,6 +297,18 @@ class TestBruteForce:
         schedule, _ = brute_force_best(MMProblem(40, 40, 40), T5)
         assert schedule.inner_class is InnerClass.K_FIRST
 
+    def test_diverging_schemes_raise(self, monkeypatch):
+        """N->M->K reporting one load more than M->N->K is a modeling bug."""
+        def simulate(problem, schedule, **kwargs):
+            report = simulate_schedule(problem, schedule, **kwargs)
+            if schedule.order is LoopOrder.NMK:
+                return report._replace(loads_a=report.loads_a + 1)
+            return report
+
+        monkeypatch.setattr(sim, "simulate_schedule", simulate)
+        with pytest.raises(AssertionError, match="^schemes sharing inner dim K diverged: "):
+            brute_force_best(MMProblem(40, 40, 40), T5)
+
 
 class TestFootprintAndConservation:
     def test_max_resident_is_one_block(self):
@@ -402,7 +421,7 @@ class TestCakeBandwidth:
         hw = make_hw(100.0, 1.0)
         values = []
         for p in (1, 2, 4, 8):
-            blk = derive_cake_block(p, 100 * (2 * p + p * p))
+            blk = CBBlock(p, *derive_cake_block(p, 100 * (2 * p + p * p)))
             values.append(measure_cake_bw(blk, hw))
             assert values[-1] == cake_offchip_bw(blk.m, blk.n, 100.0)
         assert len(set(values)) == 1

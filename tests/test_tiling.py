@@ -6,13 +6,12 @@ import pytest
 
 from memtile.hardware import HardwareSpec, roofline
 from memtile.tiling import (
-    CBBlock,
     TileShape,
     best_register_tile,
     derive_cake_block,
     derive_square_tile,
 )
-from oracles import cake_offchip_bw, cb_local_memory_footprint
+from oracles import CBBlock, cake_offchip_bw, cb_local_memory_footprint
 
 
 def brute_force_square(budget):
@@ -141,7 +140,8 @@ class TestDeriveCakeBlock:
         assert derive_cake_block(1, 3).m == 1
 
     def test_four_cores(self):
-        blk = derive_cake_block(4, 2400)
+        assert derive_cake_block(4, 2400) == TileShape(10, 10, 10)
+        blk = CBBlock(4, *derive_cake_block(4, 2400))
         assert (blk.p, blk.m, blk.k, blk.n) == (4, 10, 10, 10)
         assert (blk.p * blk.m, blk.k, blk.p * blk.n) == (40, 10, 40)
 
@@ -164,7 +164,7 @@ class TestDeriveCakeBlock:
             for lm in (50, 777, 4096, 100000):
                 if lm < p * p + 2 * p:
                     continue
-                blk = derive_cake_block(p, lm)
+                blk = CBBlock(p, *derive_cake_block(p, lm))
                 assert cb_local_memory_footprint(blk) <= lm
 
     def test_infeasible_local_memory(self):
