@@ -25,7 +25,7 @@ import os
 import sys
 
 from .emit import ScheduleDescriptor, element_type, emit_descriptor, emit_kernel_source
-from .hardware import HardwareSpec, resolve_hardware, roofline
+from .hardware import HardwareSpec, printable, resolve_hardware, roofline
 from .io_model import LoopOrder, MMProblem, Schedule, all_class_io, pad_to_tiles, select_schedule
 from .tiling import TileShape, derive_square_tile
 
@@ -72,17 +72,6 @@ def _plan(problem: MMProblem, hw: HardwareSpec, tile: TileShape | None = None, *
     return emit_descriptor(problem, schedule, reports[schedule.inner_class], hw, per_class), note
 
 
-def _printable(**values: object) -> None:
-    """Reject, by name, the first value holding an integer too long for Python
-    to print in decimal (``sys.get_int_max_str_digits()``)."""
-    for name, value in values.items():
-        try:
-            str(value)
-        except ValueError:
-            raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
-                             "too many to print") from None
-
-
 def _answer(text: str, out: str | None) -> Answer:
     """``text`` on stdout, and in the ``--out`` file when one is given; no note."""
     return text, {out: text} if out else {}, ""
@@ -95,14 +84,14 @@ def cmd_schedule(args) -> Answer:
     tile = None if args.m is None else TileShape(args.m, args.k, args.n)  # None on derive
     desc, note = _plan(problem, hw, tile, c_zero=args.c_zero, pad=args.pad,
                        simulate=args.simulate)
-    _printable(**desc._asdict())
+    printable(**desc._asdict())
     desc_json = desc.to_json() if args.out or args.format == "json" else ""
     files = {args.out: desc_json} if args.out else {}
     if args.format == "json":
         # The note goes to stderr, so stdout stays parseable; padded counts never pass for exact.
         return desc_json, files, note
     tile = desc.schedule().tile
-    _printable(register_footprint=tile.register_footprint)
+    printable(register_footprint=tile.register_footprint)
     ai, ridge, _, bound = roofline(hw, problem.macs, desc.total_io_elems)
     per = ", ".join(f"{cls} {total}" for cls, total in desc.per_class_total_elems.items())
     lines = [
@@ -137,7 +126,7 @@ def cmd_simulate(args) -> Answer:
     report = simulate_schedule(problem, schedule, c_zero=args.c_zero)
     payload = {"M": problem.M, "K": problem.K, "N": problem.N,
                "order": schedule.order.value, **report.to_dict()}
-    _printable(**payload)
+    printable(**payload)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
@@ -166,7 +155,7 @@ def cmd_sweep(args) -> Answer:
             "io_analytic": desc.total_io_elems, "io_simulated": simulated.total_elems,
             "pred_throughput": roofline(hw, problem.macs, simulated.total_elems)[2],
         })
-        _printable(**{f"layer {layer.layer_id} {col}": value for col, value in rows[-1].items()})
+        printable(**{f"layer {layer.layer_id} {col}": value for col, value in rows[-1].items()})
     if args.format == "json":
         text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     elif args.format == "text":
@@ -213,7 +202,6 @@ def cmd_emit(args) -> Answer:
     source = emit_kernel_source(desc.schedule(), kernel_type)
     if not (args.out or args.descriptor_out):
         return source, {}, note
-    _printable(**desc._asdict())
     desc_json = desc.to_json()
     files = {path: text for path, text in ((args.out, source), (args.descriptor_out, desc_json))
              if path}

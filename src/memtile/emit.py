@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .hardware import HardwareSpec, parse_json, read_fields, roofline
+from .hardware import HardwareSpec, parse_json, printable, read_fields, roofline
 from .io_model import CLASS_PRIORITY, InnerClass, IOReport, LoopOrder, MMProblem, Schedule
 from .tiling import TileShape
 
@@ -105,6 +105,9 @@ class ScheduleDescriptor(namedtuple("ScheduleDescriptor", _DESCRIPTOR_FIELDS,
         return super().__new__(cls, **values)
 
     def to_json(self) -> str:
+        """The descriptor as JSON; a ValueError names the first field holding
+        an integer too long to print."""
+        printable(**self._asdict())
         return json.dumps(self._asdict(), indent=2, sort_keys=True, separators=(",", ": "),
                           allow_nan=False) + "\n"
 

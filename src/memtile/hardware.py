@@ -9,7 +9,8 @@ everywhere else; byte-based descriptor inputs are converted on load.
 
 HardwareSpec is an immutable tuple record, checked when built: safe to
 share across threads, and every operation on it is pure. The strict-JSON
-rules live here, in parse_json and read_fields; memtile.emit shares them.
+rules live here, in parse_json and read_fields, and the digit limit on
+printing, in printable; memtile.emit and memtile.cli share them.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def parse_json(text: str) -> object:
         raise ValueError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+
+
+def printable(**values: object) -> None:
+    """Reject, by name, the first value holding an integer too long for Python
+    to print in decimal (``sys.get_int_max_str_digits()``)."""
+    for name, value in values.items():
+        try:
+            str(value)
+        except ValueError:
+            raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                             "too many to print") from None
 
 
 def _string(key: str, value: object) -> str:

@@ -4,9 +4,14 @@ The model has precisely two storage levels: a local memory that holds one
 stationary tile plus the tiles of the block currently being computed, and
 an external memory charged one access per element moved. Each (outer,
 middle) block pair of a schedule's loop nest, one residency of the
-stationary tile, is walked. Its inner loop is at most two runs of visits
-with equal clamped tile sizes, the full blocks and then the last, and each
-run is charged the rules per visit times its visits, in exact integers:
+stationary tile, is walked and charged in a few exact integer operations.
+A visit charges an operand its tile, a product of two of the block's
+clamped sizes, so over one residency each count is the operand's extent
+along the outer and middle dims times a weight of the inner loop alone.
+The weights are summed once per schedule over the inner loop's at most two
+runs of equal tile sizes, the full blocks and then the last: each run's
+size times the visits charging the operand if it spans the inner dim, else
+those visits alone. The rules per visit are:
 
   * the stationary operand's tile is loaded once per (outer, middle) loop
     pair and persists across the whole inner loop;
@@ -53,43 +58,46 @@ def simulate_schedule(problem: MMProblem, schedule: Schedule, *, c_zero: bool = 
     Ragged problems are fine; edge tiles are clamped. Only accesses are
     counted; no product is computed.
     """
-    # A run's visits share their tile sizes: an operand is charged its size
-    # times the number of the run's visits that charge it, which is all of
-    # them, or the inner loop's first or last visit if the run holds it.
     t = schedule.tile
     full = {"M": problem.M, "K": problem.K, "N": problem.N}
     edge = {"M": t.m, "K": t.k, "N": t.n}
     blocks = {d: -(-full[d] // edge[d]) for d in full}
     dims = schedule.order.dims
     outer, middle, inner = dims
-    at_m, at_k, at_n = (dims.index(d) for d in "MKN")
+    spans = ("MK", "KN", "MN", "MN")  # of loads of A, B and C, and of stores of C
     n_inner = blocks[inner]
-    runs = []  # (inner tile size, visits charging loads of A, B and C, and stores of C)
+    weights = [0, 0, 0, 0]
     for i2, visits in ((0, n_inner - 1), (n_inner - 1, 1)):
         if visits:  # a one-block inner loop has no run of full blocks
             first, last = int(i2 == 0), int(i2 + visits == n_inner)
             charged = {"C": (visits, visits, 0 if c_zero else first, last),
                        "A": (first, visits, visits, visits),
                        "B": (visits, first, visits, visits)}[schedule.stationary]
-            runs.append((min(edge[inner], full[inner] - edge[inner] * i2), *charged))
+            size = min(edge[inner], full[inner] - edge[inner] * i2)
+            for j, (n, span) in enumerate(zip(charged, spans)):
+                weights[j] += n * size if inner in span else n
+    w_a, w_b, w_lc, w_sc = weights
+    # Each operand's extent, as an index into (outer size, middle size, their product).
+    j_a, j_b, j_c = (2 if inner not in span else int(middle in span) for span in spans[:3])
+    widest = min(edge[inner], full[inner])  # the first inner run's size
     # Under A- and B-stationary orders, K is the outer or the middle dim.
+    at_k = dims.index("K")
     k_zero_skips_c = c_zero and schedule.stationary != "C"
 
     loads_a = loads_b = loads_c = stores_c = max_resident = 0
     for i0, s0 in enumerate(_block_sizes(full[outer], edge[outer])):
         for i1, s1 in enumerate(_block_sizes(full[middle], edge[middle])):
-            skip_c = k_zero_skips_c and (i0, i1)[at_k] == 0
-            for s2, n_a, n_b, n_lc, n_sc in runs:
-                sizes = (s0, s1, s2)
-                mi, ki, ni = sizes[at_m], sizes[at_k], sizes[at_n]
-                a_sz, b_sz, c_sz = mi * ki, ki * ni, mi * ni
-                loads_a += a_sz * n_a
-                loads_b += b_sz * n_b
-                loads_c += 0 if skip_c else c_sz * n_lc
-                stores_c += c_sz * n_sc
-                resident = a_sz + b_sz + c_sz
-                if resident > max_resident:
-                    max_resident = resident
+            ext = (s0, s1, s0 * s1)
+            c = ext[j_c]
+            loads_a += ext[j_a] * w_a
+            loads_b += ext[j_b] * w_b
+            if not (k_zero_skips_c and (i0, i1)[at_k] == 0):
+                loads_c += c * w_lc
+            stores_c += c * w_sc
+            # The three tiles' sizes are the pairwise products of the block's.
+            resident = ext[2] + (s0 + s1) * widest
+            if resident > max_resident:
+                max_resident = resident
     assert max_resident <= t.m * t.k + t.k * t.n + t.m * t.n, \
         "resident footprint exceeded one block's tiles"
     return IOReport(loads_a, loads_b, loads_c, stores_c,

@@ -149,6 +149,21 @@ class TestDescriptor:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("dims, field", [
+        ((10**5000, 10**5000, 2), "M"),  # the first of two fields too long
+        ((10**2200, 10**2200, 2), "streaming_elems"),  # printable dims, counts too long
+    ], ids=["dims", "counts"])
+    def test_integer_too_long_to_print_names_its_field(self, dims, field):
+        """Built, as emit builds one before it prints only the kernel, but not written."""
+        problem, tile = MMProblem(*dims), TileShape(5, 5, 5)
+        per_class = {c: r.total_elems for c, r in all_class_io(problem, tile).items()}
+        desc = emit_descriptor(problem, Schedule(LoopOrder.MNK, tile),
+                               io_for_class(problem, tile, InnerClass.K_FIRST), HW, per_class)
+        with pytest.raises(ValueError) as exc:
+            desc.to_json()
+        assert str(exc.value) == (f"{field} has more than {sys.get_int_max_str_digits()} "
+                                  "digits, too many to print")
+
     @pytest.mark.parametrize("key, value, match", [
         ("M", 40.9, "M must be an integer"),
         ("M", True, "M must be a number"),

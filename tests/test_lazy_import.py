@@ -214,6 +214,23 @@ def test_memtile_imports_no_fractions():
     assert [(p, n) for p, n in _absolute_imports() if n.split(".")[0] == "fractions"] == []
 
 
+def test_simulator_imports_no_counting_function():
+    """The simulator is the oracle the closed forms are tested against, so from
+    io_model it takes only records, enums and the class tables: never
+    io_for_class, all_class_io, select_schedule or pad_to_tiles, and not the
+    module, whose functions it could then reach as attributes."""
+    taken = []
+    for node in ast.walk(ast.parse((SRC / "memtile" / "sim.py").read_text(encoding="utf-8"))):
+        names = [alias.name for alias in getattr(node, "names", ())]
+        if isinstance(node, ast.ImportFrom) and node.module in ("io_model", "memtile.io_model"):
+            taken += names
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not [n for n in names if n.endswith("io_model")], ast.unparse(node)
+    assert taken
+    assert set(taken) <= {"CANONICAL_ORDER", "CLASS_PRIORITY", "InnerClass", "IOReport",
+                          "LoopOrder", "MMProblem", "Schedule"}, taken
+
+
 def test_memtile_modules_share_no_private_name_and_parse_json_once():
     """No module imports another's underscore name, and one place parses JSON:
     the hardware reader that schedule descriptors share."""
